@@ -11,24 +11,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import __version__
 from .errors import FeasibilityError
-from .finite_field import audit_irreducible_counts, is_prime
-from .integer_irreducibility import DEFAULT_SEARCH_LIMIT, is_irreducible_over_z
+from .finite_field import IrreducibleAuditRow, audit_irreducible_counts, is_prime
+from .integer_irreducibility import DEFAULT_SEARCH_LIMIT, admissible_witnesses
 from .polynomials import (
     DEFAULT_ENUM_LIMIT,
+    BoundsAuditReport,
+    MonicIntPolynomial,
     audit_bounds,
-    claimed_lower_bound,
-    claimed_upper_bound,
+    bounds_report,
     count_admissible_exact,
     enumerate_admissible,
     target_sum,
 )
-from .sieve import audit_chebyshev, pipeline_lower_bound, primes_below
+from .sieve import ChebyshevSample, audit_chebyshev, pipeline_lower_bound, primes_below
 
 
 def _error(code: int, kind: str, message: str):
@@ -42,12 +45,22 @@ class _Parser(argparse.ArgumentParser):
         _error(2, "usage", message)
 
 
-def _frac(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+def _fields(report, *drop: str) -> dict:
+    """A report dataclass as a dict of its fields, minus `drop`."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in drop}
 
 
-def _emit_json(payload: dict):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _columns(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _json_value(value):
+    # json.dumps hook for everything that is not already a JSON type.
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, MonicIntPolynomial):
+        return value.text()
+    return _fields(value)
 
 
 def _csv_cell(value) -> str:
@@ -57,34 +70,36 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, MonicIntPolynomial):
+        return value.text()
+    if isinstance(value, tuple):  # a factor pair renders as its product
+        return "".join(f"({_csv_cell(v)})" for v in value)
     return str(value)
 
 
-def _emit_csv(header: list[str], rows: list[list]):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+def _emit(args, command, parameters, results, exact, rows, columns):
+    """Write `results` as a JSON envelope, or `rows` (dataclasses or dicts) as CSV.
 
-
-def _envelope(command: str, parameters: dict, results: dict, exact: bool) -> dict:
-    return {
-        "command": command,
-        "exact": exact,
-        "parameters": parameters,
-        "results": results,
-        "toolkit_version": __version__,
-    }
-
-
-def _emit_report(args, command, parameters, results, exact, csv_table):
-    if args.format == "csv":
-        header, rows = csv_table
-        _emit_csv(header, rows)
-    else:
-        _emit_json(_envelope(command, parameters, results, exact))
+    The whole report is rendered before anything is written, so a failure
+    leaves stdout empty.
+    """
+    try:
+        if args.format == "csv":
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                record = row if isinstance(row, dict) else _fields(row)
+                writer.writerow([_csv_cell(record[c]) for c in columns])
+            text = out.getvalue()
+        else:
+            envelope = dict(command=command, exact=exact, parameters=parameters,
+                            results=results, toolkit_version=__version__)
+            text = json.dumps(envelope, indent=2, sort_keys=True, default=_json_value) + "\n"
+    except ValueError:
+        # Python refuses to print integers past its int-to-str digit limit.
+        raise FeasibilityError("report too large: an integer exceeds the int-to-str digit limit")
+    sys.stdout.write(text)
 
 
 # --- commands --------------------------------------------------------------
@@ -92,23 +107,10 @@ def _emit_report(args, command, parameters, results, exact, csv_table):
 
 def cmd_count(args):
     n, h = args.degree, args.height
-    exact = count_admissible_exact(n, h)
-    lower = claimed_lower_bound(n, h)
-    upper = claimed_upper_bound(n, h)
-    density = Fraction(exact, h ** (n - 1)) if h >= 1 else None
-    results = {
-        "claimed_lower": lower,
-        "claimed_upper": upper,
-        "density_ratio": None if density is None else _frac(density),
-        "exact_count": exact,
-        "lower_violated": lower > exact,
-        "target_sum": target_sum(n),
-        "upper_violated": upper < exact,
-    }
-    header = ["degree", "height", "exact_count", "claimed_lower", "claimed_upper",
-              "density_ratio", "lower_violated", "upper_violated"]
-    rows = [[n, h, exact, lower, upper, density, lower > exact, upper < exact]]
-    _emit_report(args, "count", {"degree": n, "height": h}, results, True, (header, rows))
+    report = bounds_report(n, h)
+    results = {**_fields(report, "degree", "height"), "target_sum": target_sum(n)}
+    _emit(args, "count", {"degree": n, "height": h}, results, True,
+          [report], _columns(BoundsAuditReport))
 
 
 def cmd_enumerate(args):
@@ -140,142 +142,51 @@ def cmd_enumerate(args):
 
 def cmd_irr_count(args):
     n, h = args.degree, args.height
-    witnesses = []
-    count = 0
-    for f in enumerate_admissible(n, h, args.max_enum):
-        w = is_irreducible_over_z(f, args.max_search)
-        if w.irreducible:
-            count += 1
-            witnesses.append({"factors": None, "polynomial": f.text(), "status": w.status})
-        else:
-            g, fh = w.factors
-            witnesses.append(
-                {"factors": [g.text(), fh.text()], "polynomial": f.text(), "status": w.status}
-            )
-    ambient = count_admissible_exact(n, h)
+    pairs = list(admissible_witnesses(n, h, args.max_enum, args.max_search))
+    witnesses = [{"polynomial": f, **_fields(w)} for f, w in pairs]
     results = {
-        "ambient_count": ambient,
-        "irreducible_count": count,
+        "ambient_count": count_admissible_exact(n, h),
+        "irreducible_count": sum(w.irreducible for _, w in pairs),
         "witnesses": witnesses,
     }
-    header = ["polynomial", "status", "factors"]
-    rows = [
-        [w["polynomial"], w["status"],
-         "" if w["factors"] is None else f"({w['factors'][0]})({w['factors'][1]})"]
-        for w in witnesses
-    ]
-    _emit_report(args, "irr-count", {"degree": n, "height": h}, results, True, (header, rows))
+    _emit(args, "irr-count", {"degree": n, "height": h}, results, True,
+          witnesses, ["polynomial", "status", "factors"])
 
 
 def cmd_sieve(args):
-    report = pipeline_lower_bound(
-        args.degree, args.height, args.z, args.max_enum, args.max_search
-    )
-    results = {
-        "ambient_count": report.ambient_count,
-        "chain_inequality_holds": report.chain_inequality_holds,
-        "density": _frac(report.density),
-        "error_term_reference": report.error_term_reference,
-        "irreducible_count": report.irreducible_count,
-        "main_term_reference": report.main_term_reference,
-        "per_prime": [
-            {
-                "member_count": d.member_count,
-                "p": d.p,
-                "remainder": _frac(d.remainder),
-                "remainder_reference": d.remainder_reference,
-            }
-            for d in report.per_prime
-        ],
-        "sifted_exact": report.sifted_exact,
-        "turan_bound": None if report.turan_bound is None else _frac(report.turan_bound),
-        "turan_inequality_holds": report.turan_inequality_holds,
-        "z": report.z,
-        "z_overridden": report.z_overridden,
-    }
+    report = pipeline_lower_bound(args.degree, args.height, args.z,
+                                  args.max_enum, args.max_search)
     params = {"degree": args.degree, "height": args.height}
     if args.z is not None:
         params["z"] = args.z
-    header = ["degree", "height", "z", "ambient_count", "sifted_exact", "turan_bound",
-              "irreducible_count", "turan_inequality_holds", "chain_inequality_holds"]
-    rows = [[args.degree, args.height, report.z, report.ambient_count, report.sifted_exact,
-             report.turan_bound, report.irreducible_count, report.turan_inequality_holds,
-             report.chain_inequality_holds]]
-    _emit_report(args, "sieve", params, results, False, (header, rows))
+    columns = ["degree", "height", "z", "ambient_count", "sifted_exact", "turan_bound",
+               "irreducible_count", "turan_inequality_holds", "chain_inequality_holds"]
+    _emit(args, "sieve", params, _fields(report, "degree", "height"), False, [report], columns)
 
 
 def cmd_fp_audit(args):
-    primes = args.primes
-    audit = audit_irreducible_counts(args.degree, primes)
-    results = {
-        "degree": audit.degree,
-        "max_sq_normalized_error": _frac(audit.max_sq_normalized_error),
-        "rows": [
-            {
-                "exact_count": r.exact_count,
-                "main_term": _frac(r.main_term),
-                "p": r.p,
-                "sq_normalized_error": _frac(r.sq_normalized_error),
-            }
-            for r in audit.rows
-        ],
-        "within_sqrt_scale": audit.within_sqrt_scale,
-    }
-    header = ["p", "exact_count", "main_term", "sq_normalized_error"]
-    rows = [[r.p, r.exact_count, r.main_term, r.sq_normalized_error] for r in audit.rows]
-    _emit_report(args, "fp-audit", {"degree": args.degree, "primes": primes},
-                 results, True, (header, rows))
+    audit = audit_irreducible_counts(args.degree, args.primes)
+    _emit(args, "fp-audit", {"degree": args.degree, "primes": args.primes}, audit, True,
+          audit.rows, _columns(IrreducibleAuditRow))
 
 
 def cmd_primes(args):
     ps = primes_below(args.below)
-    results = {"below": args.below, "count": len(ps), "primes": list(ps)}
-    header = ["p"]
-    rows = [[p] for p in ps]
-    _emit_report(args, "primes", {"below": args.below}, results, True, (header, rows))
+    results = {"below": args.below, "count": len(ps), "primes": ps}
+    _emit(args, "primes", {"below": args.below}, results, True, [{"p": p} for p in ps], ["p"])
 
 
 def cmd_chebyshev(args):
     audit = audit_chebyshev(args.z_max)
-    results = {
-        "band": list(audit.band),
-        "ratio_max": audit.ratio_max,
-        "ratio_min": audit.ratio_min,
-        "samples": [
-            {"prime_count": s.prime_count, "ratio": s.ratio, "z": s.z} for s in audit.samples
-        ],
-        "scan_start": audit.scan_start,
-        "within_band": audit.within_band,
-        "z_max": audit.z_max,
-    }
-    header = ["z", "prime_count", "ratio"]
-    rows = [[s.z, s.prime_count, s.ratio] for s in audit.samples]
-    _emit_report(args, "chebyshev", {"z_max": args.z_max}, results, False, (header, rows))
+    _emit(args, "chebyshev", {"z_max": args.z_max}, audit, False,
+          audit.samples, _columns(ChebyshevSample))
 
 
 def cmd_bounds_audit(args):
     reports = audit_bounds(args.degree, (args.h_min, args.h_max))
-    results = {
-        "reports": [
-            {
-                "claimed_lower": r.claimed_lower,
-                "claimed_upper": r.claimed_upper,
-                "density_ratio": None if r.density_ratio is None else _frac(r.density_ratio),
-                "exact_count": r.exact_count,
-                "height": r.height,
-                "lower_violated": r.lower_violated,
-                "upper_violated": r.upper_violated,
-            }
-            for r in reports
-        ]
-    }
-    header = ["degree", "height", "exact_count", "claimed_lower", "claimed_upper",
-              "density_ratio", "lower_violated", "upper_violated"]
-    rows = [[r.degree, r.height, r.exact_count, r.claimed_lower, r.claimed_upper,
-             r.density_ratio, r.lower_violated, r.upper_violated] for r in reports]
-    _emit_report(args, "bounds-audit",
-                 {"degree": args.degree, "h_max": args.h_max, "h_min": args.h_min},
-                 results, True, (header, rows))
+    results = {"reports": [_fields(r, "degree") for r in reports]}
+    _emit(args, "bounds-audit", {"degree": args.degree, "h_max": args.h_max, "h_min": args.h_min},
+          results, True, reports, _columns(BoundsAuditReport))
 
 
 # --- parser ----------------------------------------------------------------
@@ -292,6 +203,16 @@ def _parse_primes(text: str) -> list[int]:
         if not is_prime(p):
             raise argparse.ArgumentTypeError(f"not prime: {p}")
     return primes
+
+
+def _row_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {limit}")
+    return limit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream the admissible polynomials in lex order")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="stop after this many rows")
+    p.add_argument("--limit", type=_row_limit, default=None, help="stop after this many rows")
     add_format(p, choices=("jsonl", "csv"), default="jsonl")
     add_limits(p, enum=True)
     p.set_defaults(run=cmd_enumerate)

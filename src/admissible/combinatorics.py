@@ -90,10 +90,14 @@ def count_bounded_compositions(q: CompositionQuery) -> int:
 
     Terms whose upper index goes negative vanish.  With cap >= target the
     j >= 1 terms are all zero and this reduces to the unbounded count.
+    A target above parts * cap is answered 0 up front: the alternating sum
+    would also reach 0, but only after n + 1 huge binomials.
     """
     if q.cap is None:
         return count_nonneg_compositions(q.parts, q.target)
     n, S, H = q.parts, q.target, q.cap
+    if S > n * H:
+        return 0
     total = 0
     for j in range(n + 1):
         rem = S - j * (H + 1)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .combinatorics import binomial
 from .errors import FeasibilityError
@@ -168,6 +169,17 @@ def _bounded_factor_search(f: MonicIntPolynomial, max_search: int) -> Factorizat
     return FactorizationWitness("irreducible")
 
 
+def admissible_witnesses(
+    degree: int,
+    height: int,
+    max_enum: int = DEFAULT_ENUM_LIMIT,
+    max_search: int = DEFAULT_SEARCH_LIMIT,
+) -> Iterator[tuple[MonicIntPolynomial, FactorizationWitness]]:
+    """Yield (f, verdict) for every admissible f, in enumeration order."""
+    for f in enumerate_admissible(degree, height, max_enum):
+        yield f, is_irreducible_over_z(f, max_search)
+
+
 def count_admissible_irreducible(
     degree: int,
     height: int,
@@ -176,7 +188,5 @@ def count_admissible_irreducible(
 ) -> int:
     """Exact count of admissible polynomials irreducible over Z."""
     return sum(
-        1
-        for f in enumerate_admissible(degree, height, max_enum)
-        if is_irreducible_over_z(f, max_search).irreducible
+        w.irreducible for _, w in admissible_witnesses(degree, height, max_enum, max_search)
     )

@@ -187,6 +187,23 @@ class BoundsAuditReport:
     upper_violated: bool
 
 
+def bounds_report(degree: int, height: int) -> BoundsAuditReport:
+    """The exact count and both claimed bounds at one height (any degree >= 1)."""
+    exact = count_admissible_exact(degree, height)
+    lower = claimed_lower_bound(degree, height)
+    upper = claimed_upper_bound(degree, height)
+    return BoundsAuditReport(
+        degree=degree,
+        height=height,
+        exact_count=exact,
+        claimed_lower=lower,
+        claimed_upper=upper,
+        density_ratio=Fraction(exact, height ** (degree - 1)) if height >= 1 else None,
+        lower_violated=lower > exact,
+        upper_violated=upper < exact,
+    )
+
+
 def audit_bounds(degree: int, height_range: tuple[int, int]) -> list[BoundsAuditReport]:
     """One BoundsAuditReport per height in the inclusive `height_range`.
 
@@ -199,22 +216,4 @@ def audit_bounds(degree: int, height_range: tuple[int, int]) -> list[BoundsAudit
         raise ValueError(
             f"height range [{lo}, {hi}] must sit inside [0, {degree}!]"
         )
-    reports = []
-    for height in range(lo, hi + 1):
-        exact = count_admissible_exact(degree, height)
-        lower = claimed_lower_bound(degree, height)
-        upper = claimed_upper_bound(degree, height)
-        density = Fraction(exact, height ** (degree - 1)) if height >= 1 else None
-        reports.append(
-            BoundsAuditReport(
-                degree=degree,
-                height=height,
-                exact_count=exact,
-                claimed_lower=lower,
-                claimed_upper=upper,
-                density_ratio=density,
-                lower_violated=lower > exact,
-                upper_violated=upper < exact,
-            )
-        )
-    return reports
+    return [bounds_report(degree, height) for height in range(lo, hi + 1)]

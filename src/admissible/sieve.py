@@ -293,8 +293,9 @@ def build_admissible_instance(
 def sieve_level(height: int) -> int:
     """round((H * ln H)^(1/3)), the canonical sieve level for height H.
 
-    Rounding is Python's round-half-to-even.  Levels below 2 admit no
-    primes and leave the ambient set unsifted.
+    Rounding is Python's round-half-to-even.  Primes are taken strictly
+    below the level, so levels below 3 admit no primes and leave the
+    ambient set unsifted.
     """
     if height < 2:
         raise ValueError(f"height must be >= 2, got {height}")

@@ -172,6 +172,11 @@ def test_usage_errors_exit_2(run_cli):
     run_cli("count", "--degree", "3", expect_code=2)  # missing --height
     run_cli("no-such-command", expect_code=2)
 
+    proc = run_cli("enumerate", "--degree", "3", "--height", "6", "--limit", "-1",
+                   expect_code=2)
+    assert json.loads(proc.stderr)["kind"] == "usage"
+    assert proc.stdout == b""
+
 
 def test_feasibility_errors_exit_3(run_cli):
     proc = run_cli(
@@ -181,6 +186,19 @@ def test_feasibility_errors_exit_3(run_cli):
     err = json.loads(proc.stderr)
     assert err["kind"] == "feasibility"
     assert "enumeration too large" in err["message"]
+
+
+def test_oversized_report_exits_3_with_empty_stdout(run_cli):
+    # Each report holds an integer past Python's int-to-str digit limit.
+    for argv in (
+        ["fp-audit", "--degree", "100000", "--primes", "2"],
+        ["count", "--degree", "2000", "--height", "5"],
+    ):
+        proc = run_cli(*argv, expect_code=3)
+        assert proc.stdout == b""
+        err = json.loads(proc.stderr)
+        assert err["kind"] == "feasibility"
+        assert err["message"].startswith("report too large")
 
 
 def test_repeated_runs_are_byte_identical(run_cli):

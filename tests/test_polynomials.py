@@ -78,6 +78,8 @@ def test_count_anchors():
     assert count_admissible_exact(3, 6) == 21
     assert count_admissible_exact(3, 2) == 3
     assert count_admissible_exact(4, 5) == 0
+    # 1000! - 1 far exceeds 1000 * 5: answered up front, not by a long sum.
+    assert count_admissible_exact(1000, 5) == 0
 
 
 def test_count_nondecreasing_and_saturates():
