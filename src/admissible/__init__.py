@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .combinatorics import (
     CompositionQuery,
     binomial,
-    brute_force_compositions,
     count_bounded_compositions,
     count_nonneg_compositions,
     count_positive_compositions,
@@ -22,7 +21,6 @@ from .finite_field import (
     PrimeFieldPolynomial,
     audit_irreducible_counts,
     count_irreducibles_exact,
-    count_irreducibles_exhaustive,
     is_irreducible_mod_p,
     reduce_mod_p,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "audit_chebyshev",
     "audit_irreducible_counts",
     "binomial",
-    "brute_force_compositions",
     "build_admissible_instance",
     "claimed_lower_bound",
     "claimed_upper_bound",
@@ -74,7 +71,6 @@ __all__ = [
     "count_admissible_irreducible",
     "count_bounded_compositions",
     "count_irreducibles_exact",
-    "count_irreducibles_exhaustive",
     "count_nonneg_compositions",
     "count_positive_compositions",
     "enumerate_admissible",

@@ -8,20 +8,13 @@ and are kept apart under distinct names:
 * nonnegative compositions: ordered sums with every part >= 0.
 
 `count_bounded_compositions` additionally caps each part at H, which is
-the counting problem behind the admissible-polynomial census, and
-`brute_force_compositions` is the deliberately dumb oracle the closed
-form is checked against.
+the counting problem behind the admissible-polynomial census.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-
-from .errors import FeasibilityError
-
-DEFAULT_ORACLE_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -106,21 +99,3 @@ def count_bounded_compositions(q: CompositionQuery) -> int:
         term = _choose(n, j) * _choose(rem + n - 1, n - 1)
         total += -term if j & 1 else term
     return total
-
-
-def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """Independent oracle: walk every capped tuple and count the matches.
-
-    Intentionally does no pruning, so it can disagree with
-    `count_bounded_compositions` only if the closed form is wrong.
-    Raises FeasibilityError ("oracle too large") when the tuple space
-    (cap+1)^parts exceeds `max_oracle`.
-    """
-    cap = q.target if q.cap is None else q.cap
-    space = (cap + 1) ** q.parts
-    if space > max_oracle:
-        raise FeasibilityError(
-            f"oracle too large: ({cap}+1)^{q.parts} = {space} exceeds limit {max_oracle}"
-        )
-    target = q.target
-    return sum(1 for t in itertools.product(range(cap + 1), repeat=q.parts) if sum(t) == target)

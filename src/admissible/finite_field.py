@@ -5,58 +5,52 @@ Polynomials are stored as ascending coefficient tuples with entries in
 a nonzero polynomial is never 0.  Moduli are validated by trial
 division on construction, which is all that desk-scale moduli need.
 
-The public `fp_*` functions operate on `PrimeFieldPolynomial` values and
-insist that operand moduli match; internally everything runs on plain
-coefficient lists.  Irreducibility is decided by Rabin's criterion and
-double-checked elsewhere by exhaustive trial division, and the exact
-count of monic irreducibles of each degree comes from the Gauss/Moebius
-formula so the two routes can be compared.
+Internally everything runs on plain coefficient lists.  Irreducibility
+is decided by Rabin's criterion, answered from a memoized lookup table
+when the whole degree fits.  The exact count of monic irreducibles of
+each degree comes from the Gauss/Moebius formula, which the test suite
+compares against an exhaustive Rabin count.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from math import prod
+from typing import Callable, Sequence
 
 from .errors import FeasibilityError
 from .polynomials import MonicIntPolynomial, poly_text
-
-DEFAULT_EXHAUSTIVE_LIMIT = 10**7
 
 # Largest p^degree for which a full irreducibility lookup table is built.
 TABLE_LIMIT = 32768
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; fine for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _least_factor(n: int) -> int:
+    # Smallest prime factor of n >= 2, by trial division over 2 and the odd numbers.
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality check; fine for desk-scale moduli."""
+    return n >= 2 and _least_factor(n) == n
 
 
 def _prime_divisors(n: int) -> list[int]:
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        f = _least_factor(n)
+        out.append(f)
+        while n % f == 0:
+            n //= f
     return out
 
 
@@ -64,18 +58,8 @@ def mobius(n: int) -> int:
     """The Moebius function: 0 on squareful n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError(f"mobius expects n >= 1, got {n}")
-    sign = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            sign = -sign
-        f += 1
-    if n > 1:
-        sign = -sign
-    return sign
+    divisors = _prime_divisors(n)
+    return 0 if prod(divisors) != n else (-1) ** len(divisors)
 
 
 @dataclass(frozen=True)
@@ -201,51 +185,6 @@ def _powmod(base: list[int], exp: int, modulus: list[int], p: int) -> list[int]:
     return result
 
 
-def _same_modulus(*polys: PrimeFieldPolynomial) -> int:
-    p = polys[0].modulus
-    for g in polys[1:]:
-        if g.modulus != p:
-            raise ValueError(f"mismatched moduli: {g.modulus} != {p}")
-    return p
-
-
-# --- public wrappers ------------------------------------------------------
-
-
-def fp_mul(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """Product in F_p[x]."""
-    p = _same_modulus(f, g)
-    return PrimeFieldPolynomial(p, tuple(_mul(list(f.coeffs), list(g.coeffs), p)))
-
-
-def fp_divmod(
-    f: PrimeFieldPolynomial, g: PrimeFieldPolynomial
-) -> tuple[PrimeFieldPolynomial, PrimeFieldPolynomial]:
-    """Quotient and remainder; raises ZeroDivisionError on a zero divisor."""
-    p = _same_modulus(f, g)
-    q, r = _divmod(list(f.coeffs), list(g.coeffs), p)
-    return PrimeFieldPolynomial(p, tuple(q)), PrimeFieldPolynomial(p, tuple(r))
-
-
-def fp_mod(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """Remainder of f mod g."""
-    return fp_divmod(f, g)[1]
-
-
-def fp_gcd(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """Monic gcd in F_p[x]."""
-    p = _same_modulus(f, g)
-    return PrimeFieldPolynomial(p, tuple(_gcd(list(f.coeffs), list(g.coeffs), p)))
-
-
-def fp_powmod(g: PrimeFieldPolynomial, e: int, f: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """g^e mod f by square-and-multiply; e may be arbitrarily large."""
-    p = _same_modulus(g, f)
-    if f.is_zero():
-        raise ZeroDivisionError("zero divisor")
-    return PrimeFieldPolynomial(p, tuple(_powmod(list(g.coeffs), e, list(f.coeffs), p)))
-
-
 # --- irreducibility -------------------------------------------------------
 
 
@@ -270,20 +209,6 @@ def is_irreducible_mod_p(f: PrimeFieldPolynomial) -> bool:
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
     return _is_irreducible_raw(list(f.coeffs), f.modulus)
-
-
-def is_irreducible_trial_division(f: PrimeFieldPolynomial) -> bool:
-    """Second oracle: divide by every monic polynomial of degree <= n/2."""
-    if f.degree < 1:
-        raise ValueError("irreducibility needs degree >= 1")
-    p = f.modulus
-    fc = list(f.coeffs)
-    for m in range(1, f.degree // 2 + 1):
-        for tail in itertools.product(range(p), repeat=m):
-            g = list(tail) + [1]
-            if not _mod(fc, g, p):
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -312,6 +237,30 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     return tuple(flags)
 
 
+def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool]:
+    """Predicate "irreducible mod p" on the non-leading integer coefficients.
+
+    The predicate takes (a_0, ..., a_{degree-1}) of a monic polynomial of
+    the given degree.  It answers from `irreducible_table` when
+    p^degree <= TABLE_LIMIT and by Rabin's test otherwise.
+    """
+    if p**degree <= TABLE_LIMIT:
+        table = irreducible_table(p, degree)
+
+        def lookup(coeffs: Sequence[int]) -> bool:
+            idx = 0
+            for c in reversed(coeffs):
+                idx = idx * p + c % p
+            return table[idx]
+
+        return lookup
+
+    def direct(coeffs: Sequence[int]) -> bool:
+        return _is_irreducible_raw([c % p for c in coeffs] + [1], p)
+
+    return direct
+
+
 def count_irreducibles_exact(degree: int, p: int) -> int:
     """Number of monic irreducibles of one degree: (1/n) sum_{d|n} mu(d) p^(n/d)."""
     if degree < 1:
@@ -320,26 +269,6 @@ def count_irreducibles_exact(degree: int, p: int) -> int:
         raise ValueError(f"not prime: {p}")
     total = sum(mobius(d) * p ** (degree // d) for d in range(1, degree + 1) if degree % d == 0)
     return total // degree
-
-
-def count_irreducibles_exhaustive(
-    degree: int, p: int, max_oracle: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> int:
-    """Independent oracle: test all p^degree monic polynomials one by one."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if not is_prime(p):
-        raise ValueError(f"not prime: {p}")
-    space = p**degree
-    if space > max_oracle:
-        raise FeasibilityError(
-            f"oracle too large: {p}^{degree} = {space} exceeds limit {max_oracle}"
-        )
-    count = 0
-    for tail in itertools.product(range(p), repeat=degree):
-        if _is_irreducible_raw(list(tail) + [1], p):
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .combinatorics import binomial
 from .errors import FeasibilityError
-from .finite_field import TABLE_LIMIT, _is_irreducible_raw, irreducible_table
+from .finite_field import irreducibility_tester
 from .polynomials import DEFAULT_ENUM_LIMIT, MonicIntPolynomial, enumerate_admissible
 
 PROBE_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -57,17 +57,6 @@ class FactorizationWitness:
     @property
     def irreducible(self) -> bool:
         return self.status == "irreducible"
-
-
-def multiply_monic(g: MonicIntPolynomial, h: MonicIntPolynomial) -> MonicIntPolynomial:
-    """Product of two monic integer polynomials."""
-    a, b = g.all_coefficients(), h.all_coefficients()
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] += ai * bj
-    return MonicIntPolynomial(g.degree + h.degree, tuple(c[:-1]))
 
 
 def _divmod_by_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -101,14 +90,8 @@ def _ceil_sqrt(n: int) -> int:
 
 
 def _irreducible_mod(f: MonicIntPolynomial, p: int) -> bool:
-    # Degree is preserved by monic reduction, so the table applies directly.
-    if p**f.degree <= TABLE_LIMIT:
-        table = irreducible_table(p, f.degree)
-        idx = 0
-        for c in reversed(f.coeffs):
-            idx = idx * p + c % p
-        return table[idx]
-    return _is_irreducible_raw([c % p for c in f.all_coefficients()], p)
+    # Degree is preserved by monic reduction, so the degree-n test applies directly.
+    return irreducibility_tester(p, f.degree)(f.coeffs)
 
 
 def is_irreducible_over_z(

@@ -9,12 +9,14 @@ exact rational arithmetic, so a violation could only ever mean a bug.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .finite_field import TABLE_LIMIT, _is_irreducible_raw, irreducible_table
+from .errors import FeasibilityError
+from .finite_field import irreducibility_tester
 from .integer_irreducibility import DEFAULT_SEARCH_LIMIT, count_admissible_irreducible
 from .polynomials import (
     DEFAULT_ENUM_LIMIT,
@@ -23,6 +25,22 @@ from .polynomials import (
     enumerate_admissible,
 )
 
+# Largest integer the prime sieve marks; beyond it the bytearray and the
+# scan stop being desk-scale.
+SIEVE_LIMIT = 10**7
+
+
+def _prime_flags(n: int) -> bytearray:
+    # Sieve of Eratosthenes over [0, n), n >= 2: flags[i] == 1 iff i is prime.
+    if n - 1 > SIEVE_LIMIT:
+        raise FeasibilityError(f"sieve too large: {n - 1} exceeds limit {SIEVE_LIMIT}")
+    flags = bytearray([1]) * n
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(range(p * p, n, p)))
+    return flags
+
 
 def primes_below(z: int) -> tuple[int, ...]:
     """All primes strictly below z, ascending (sieve of Eratosthenes)."""
@@ -30,12 +48,7 @@ def primes_below(z: int) -> tuple[int, ...]:
         raise ValueError(f"z must be >= 1, got {z}")
     if z <= 2:
         return ()
-    flags = bytearray([1]) * z
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(z - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, z, p)))
-    return tuple(i for i in range(2, z) if flags[i])
+    return tuple(itertools.compress(range(z), _prime_flags(z)))
 
 
 def prime_count(z: int) -> int:
@@ -43,25 +56,6 @@ def prime_count(z: int) -> int:
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
     return len(primes_below(z + 1))
-
-
-def count_primes_crosscheck(z: int) -> int:
-    """pi(z) again, via an odd-only sieve kept independent of primes_below."""
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    if z < 2:
-        return 0
-    size = (z + 1) // 2  # index i stands for the odd number 2i+1
-    odd = bytearray([1]) * size
-    odd[0] = 0
-    i = 1
-    while (2 * i + 1) ** 2 <= z:
-        if odd[i]:
-            step = 2 * i + 1
-            start = (step * step) // 2
-            odd[start::step] = bytearray(len(odd[start::step]))
-        i += 1
-    return 1 + sum(odd)
 
 
 @dataclass(frozen=True)
@@ -97,11 +91,7 @@ def audit_chebyshev(z_max: int, band: tuple[float, float] = (0.9, 1.3)) -> Cheby
     """
     if z_max < 3:
         raise ValueError(f"z_max must be >= 3, got {z_max}")
-    flags = bytearray([1]) * (z_max + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(z_max) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, z_max + 1, p)))
+    flags = _prime_flags(z_max + 1)
 
     checkpoints = {3, z_max}
     mark = 10
@@ -209,40 +199,22 @@ def turan_upper_bound(inst: TuranInstance) -> Fraction:
     return Fraction(size) / U + 2 / U * single + 1 / U**2 * double
 
 
-def _membership_tester(p: int, degree: int) -> Callable[[tuple[int, ...]], bool]:
-    # Returns a predicate on non-leading coefficient vectors deciding
-    # "irreducible mod p".  Uses the lookup table whenever it fits.
-    if p**degree <= TABLE_LIMIT:
-        table = irreducible_table(p, degree)
-
-        def lookup(coeffs: tuple[int, ...]) -> bool:
-            idx = 0
-            for c in reversed(coeffs):
-                idx = idx * p + c % p
-            return table[idx]
-
-        return lookup
-
-    def direct(coeffs: tuple[int, ...]) -> bool:
-        return _is_irreducible_raw([c % p for c in coeffs] + [1], p)
-
-    return direct
-
-
 def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     """Count polynomials whose reduction is reducible at every prime p < z.
 
-    With no primes below z nothing is sifted and the ambient size comes
-    back unchanged.
+    All polynomials must share one degree; a change of degree raises
+    ValueError.  With no primes below z nothing is sifted and the
+    ambient size comes back unchanged.
     """
     primes = primes_below(z)
-    if not primes:
-        return sum(1 for _ in ambient)
-    testers: list[Callable[[tuple[int, ...]], bool]] | None = None
+    degree = testers = None
     count = 0
     for f in ambient:
-        if testers is None:
-            testers = [_membership_tester(p, f.degree) for p in primes]
+        if f.degree != degree:
+            if degree is not None:
+                raise ValueError(f"mixed degrees: {f.degree} after {degree}")
+            degree = f.degree
+            testers = [irreducibility_tester(p, degree) for p in primes]
         coeffs = f.coeffs
         for test in testers:
             if test(coeffs):
@@ -268,7 +240,7 @@ def build_admissible_instance(
     density = Fraction(1, degree)
     member = {p: 0 for p in primes}
     pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i + 1 :]}
-    testers = [_membership_tester(p, degree) for p in primes]
+    testers = [irreducibility_tester(p, degree) for p in primes]
     total = 0
     for f in enumerate_admissible(degree, height, max_enum):
         total += 1

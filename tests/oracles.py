@@ -1,13 +1,38 @@
-"""Independent brute-force oracles used only by the test suite.
+"""Oracles used only by the test suite.
 
-Everything here is deliberately primitive and self-contained: plain
-tuple enumeration, Pascal's triangle, and an unpruned factor-pair search
-with its own division routine.  None of it shares code with the package
-paths it checks.
+Most of this file is deliberately primitive and self-contained: plain
+tuple enumeration, Pascal's triangle, an odd-only prime sieve, and an
+unpruned factor-pair search with its own division routine.  None of
+that shares code with the package paths it checks.  Three oracles do
+call package internals:
+
+* the `fp_*` wrappers run the package's raw F_p list arithmetic
+  (`_mul`, `_divmod`, `_gcd`, `_powmod`);
+* `is_irreducible_trial_division` divides with the package's `_mod`,
+  so it is independent of Rabin's criterion but not of the division;
+* `count_irreducibles_exhaustive` runs the package's Rabin test on every
+  polynomial, so it checks the Gauss/Moebius count, not the Rabin test.
 """
 
 import itertools
 import math
+
+from admissible.combinatorics import CompositionQuery
+from admissible.errors import FeasibilityError
+from admissible.finite_field import (
+    PrimeFieldPolynomial,
+    _divmod,
+    _gcd,
+    _is_irreducible_raw,
+    _mod,
+    _mul,
+    _powmod,
+    is_prime,
+)
+from admissible.polynomials import MonicIntPolynomial
+
+DEFAULT_ORACLE_LIMIT = 10**8
+DEFAULT_EXHAUSTIVE_LIMIT = 10**7
 
 
 def brute_count_tuples(parts: int, target: int, cap: int) -> int:
@@ -75,3 +100,127 @@ def oracle_is_irreducible_over_z(full: list[int]) -> bool:
             if _divides(full, [*cand, 1]):
                 return False
     return True
+
+
+def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORACLE_LIMIT) -> int:
+    """Independent oracle: walk every capped tuple and count the matches.
+
+    Intentionally does no pruning, so it can disagree with
+    `count_bounded_compositions` only if the closed form is wrong.
+    Raises FeasibilityError ("oracle too large") when the tuple space
+    (cap+1)^parts exceeds `max_oracle`.
+    """
+    cap = q.target if q.cap is None else q.cap
+    space = (cap + 1) ** q.parts
+    if space > max_oracle:
+        raise FeasibilityError(
+            f"oracle too large: ({cap}+1)^{q.parts} = {space} exceeds limit {max_oracle}"
+        )
+    target = q.target
+    return sum(1 for t in itertools.product(range(cap + 1), repeat=q.parts) if sum(t) == target)
+
+
+def count_primes_crosscheck(z: int) -> int:
+    """pi(z) again, via an odd-only sieve kept independent of primes_below."""
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z}")
+    if z < 2:
+        return 0
+    size = (z + 1) // 2  # index i stands for the odd number 2i+1
+    odd = bytearray([1]) * size
+    odd[0] = 0
+    i = 1
+    while (2 * i + 1) ** 2 <= z:
+        if odd[i]:
+            step = 2 * i + 1
+            start = (step * step) // 2
+            odd[start::step] = bytearray(len(odd[start::step]))
+        i += 1
+    return 1 + sum(odd)
+
+
+def multiply_monic(g: MonicIntPolynomial, h: MonicIntPolynomial) -> MonicIntPolynomial:
+    """Product of two monic integer polynomials."""
+    a, b = g.all_coefficients(), h.all_coefficients()
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                c[i + j] += ai * bj
+    return MonicIntPolynomial(g.degree + h.degree, tuple(c[:-1]))
+
+
+def _same_modulus(*polys: PrimeFieldPolynomial) -> int:
+    p = polys[0].modulus
+    for g in polys[1:]:
+        if g.modulus != p:
+            raise ValueError(f"mismatched moduli: {g.modulus} != {p}")
+    return p
+
+
+def fp_mul(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
+    """Product in F_p[x]."""
+    p = _same_modulus(f, g)
+    return PrimeFieldPolynomial(p, tuple(_mul(list(f.coeffs), list(g.coeffs), p)))
+
+
+def fp_divmod(
+    f: PrimeFieldPolynomial, g: PrimeFieldPolynomial
+) -> tuple[PrimeFieldPolynomial, PrimeFieldPolynomial]:
+    """Quotient and remainder; raises ZeroDivisionError on a zero divisor."""
+    p = _same_modulus(f, g)
+    q, r = _divmod(list(f.coeffs), list(g.coeffs), p)
+    return PrimeFieldPolynomial(p, tuple(q)), PrimeFieldPolynomial(p, tuple(r))
+
+
+def fp_mod(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
+    """Remainder of f mod g."""
+    return fp_divmod(f, g)[1]
+
+
+def fp_gcd(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
+    """Monic gcd in F_p[x]."""
+    p = _same_modulus(f, g)
+    return PrimeFieldPolynomial(p, tuple(_gcd(list(f.coeffs), list(g.coeffs), p)))
+
+
+def fp_powmod(g: PrimeFieldPolynomial, e: int, f: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
+    """g^e mod f by square-and-multiply; e may be arbitrarily large."""
+    p = _same_modulus(g, f)
+    if f.is_zero():
+        raise ZeroDivisionError("zero divisor")
+    return PrimeFieldPolynomial(p, tuple(_powmod(list(g.coeffs), e, list(f.coeffs), p)))
+
+
+def is_irreducible_trial_division(f: PrimeFieldPolynomial) -> bool:
+    """Second oracle: divide by every monic polynomial of degree <= n/2."""
+    if f.degree < 1:
+        raise ValueError("irreducibility needs degree >= 1")
+    p = f.modulus
+    fc = list(f.coeffs)
+    for m in range(1, f.degree // 2 + 1):
+        for tail in itertools.product(range(p), repeat=m):
+            g = list(tail) + [1]
+            if not _mod(fc, g, p):
+                return False
+    return True
+
+
+def count_irreducibles_exhaustive(
+    degree: int, p: int, max_oracle: int = DEFAULT_EXHAUSTIVE_LIMIT
+) -> int:
+    """Independent oracle: test all p^degree monic polynomials one by one."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if not is_prime(p):
+        raise ValueError(f"not prime: {p}")
+    space = p**degree
+    if space > max_oracle:
+        raise FeasibilityError(
+            f"oracle too large: {p}^{degree} = {space} exceeds limit {max_oracle}"
+        )
+    count = 0
+    for tail in itertools.product(range(p), repeat=degree):
+        if _is_irreducible_raw(list(tail) + [1], p):
+            count += 1
+    return count

@@ -8,15 +8,8 @@ were computed with the in-repo brute-force oracles before being frozen.
 import math
 import time
 
-from admissible.combinatorics import (
-    CompositionQuery,
-    brute_force_compositions,
-    count_bounded_compositions,
-)
-from admissible.finite_field import (
-    count_irreducibles_exact,
-    count_irreducibles_exhaustive,
-)
+from admissible.combinatorics import CompositionQuery, count_bounded_compositions
+from admissible.finite_field import count_irreducibles_exact
 from admissible.integer_irreducibility import count_admissible_irreducible
 from admissible.polynomials import (
     audit_bounds,
@@ -26,14 +19,20 @@ from admissible.polynomials import (
 from admissible.sieve import (
     audit_chebyshev,
     build_admissible_instance,
-    count_primes_crosscheck,
     exact_sifted_count,
     prime_count,
     primes_below,
     turan_upper_bound,
 )
 
-from oracles import brute_admissible_vectors, brute_count_tuples, oracle_is_irreducible_over_z
+from oracles import (
+    brute_admissible_vectors,
+    brute_count_tuples,
+    brute_force_compositions,
+    count_irreducibles_exhaustive,
+    count_primes_crosscheck,
+    oracle_is_irreducible_over_z,
+)
 
 
 def _report(k, label):

@@ -201,6 +201,21 @@ def test_oversized_report_exits_3_with_empty_stdout(run_cli):
         assert err["message"].startswith("report too large")
 
 
+def test_oversized_sieves_exit_3_with_empty_stdout(run_cli):
+    # Both commands sieve up to about 3e9, past the sieve's limit.
+    for argv in (
+        ["primes", "--below", "3000000000"],
+        ["chebyshev", "--z-max", "3000000000"],
+    ):
+        proc = run_cli(*argv, expect_code=3)
+        assert proc.stdout == b""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["kind"] == "feasibility"
+        assert err["message"].startswith("sieve too large")
+
+
 def test_repeated_runs_are_byte_identical(run_cli):
     argvs = [
         ["count", "--degree", "3", "--height", "6"],

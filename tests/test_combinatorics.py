@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from admissible.combinatorics import (
     CompositionQuery,
     binomial,
-    brute_force_compositions,
     count_bounded_compositions,
     count_nonneg_compositions,
     count_positive_compositions,
 )
 from admissible.errors import FeasibilityError
 
-from oracles import brute_count_tuples, pascal_binomial
+from oracles import brute_count_tuples, brute_force_compositions, pascal_binomial
 
 
 def test_binomial_anchors():

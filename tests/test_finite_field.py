@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,19 +11,23 @@ from admissible.finite_field import (
     PrimeFieldPolynomial,
     audit_irreducible_counts,
     count_irreducibles_exact,
+    is_irreducible_mod_p,
+    is_prime,
+    mobius,
+    reduce_mod_p,
+)
+from admissible.polynomials import MonicIntPolynomial
+from admissible.sieve import primes_below
+
+from oracles import (
     count_irreducibles_exhaustive,
     fp_divmod,
     fp_gcd,
     fp_mod,
     fp_mul,
     fp_powmod,
-    is_irreducible_mod_p,
     is_irreducible_trial_division,
-    is_prime,
-    mobius,
-    reduce_mod_p,
 )
-from admissible.polynomials import MonicIntPolynomial
 
 
 def FP(p, coeffs):
@@ -32,6 +37,13 @@ def FP(p, coeffs):
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_agrees_with_the_sieve():
+    assert tuple(n for n in range(10**4) if is_prime(n)) == primes_below(10**4)
+    start = time.perf_counter()
+    assert is_prime(2 * 10**30) is False  # even: answered without trial division
+    assert time.perf_counter() - start < 0.1
 
 
 def test_mobius_values():

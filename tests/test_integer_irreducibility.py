@@ -10,11 +10,10 @@ from admissible.integer_irreducibility import (
     FactorizationWitness,
     count_admissible_irreducible,
     is_irreducible_over_z,
-    multiply_monic,
 )
 from admissible.polynomials import MonicIntPolynomial, count_admissible_exact
 
-from oracles import oracle_is_irreducible_over_z
+from oracles import multiply_monic, oracle_is_irreducible_over_z
 
 
 def test_witness_anchors():

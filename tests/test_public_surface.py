@@ -1,0 +1,49 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import admissible
+
+# Test-only oracles; they live in tests/oracles.py, never in the package.
+ORACLE_NAMES = (
+    "DEFAULT_EXHAUSTIVE_LIMIT",
+    "DEFAULT_ORACLE_LIMIT",
+    "_same_modulus",
+    "brute_force_compositions",
+    "count_irreducibles_exhaustive",
+    "count_primes_crosscheck",
+    "fp_divmod",
+    "fp_gcd",
+    "fp_mod",
+    "fp_mul",
+    "fp_powmod",
+    "is_irreducible_trial_division",
+    "multiply_monic",
+)
+
+# __main__ runs the CLI on import, so it is left out.
+MODULES = [
+    importlib.import_module(f"admissible.{info.name}")
+    for info in pkgutil.iter_modules(admissible.__path__)
+    if info.name != "__main__"
+]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(admissible.__all__)) == len(admissible.__all__)
+    for name in admissible.__all__:
+        assert hasattr(admissible, name), name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from admissible import *", namespace)
+    assert set(admissible.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", [admissible, *MODULES], ids=lambda m: m.__name__)
+def test_oracles_are_not_in_the_package(module):
+    for name in ORACLE_NAMES:
+        with pytest.raises(ImportError):
+            exec(f"from {module.__name__} import {name}", {})

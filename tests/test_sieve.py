@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from admissible.polynomials import enumerate_admissible
+from admissible import sieve
+from admissible.errors import FeasibilityError
+from admissible.polynomials import MonicIntPolynomial, enumerate_admissible
 from admissible.sieve import (
     TuranInstance,
     audit_chebyshev,
     build_admissible_instance,
-    count_primes_crosscheck,
     exact_sifted_count,
     pipeline_lower_bound,
     prime_count,
@@ -15,6 +16,8 @@ from admissible.sieve import (
     sieve_level,
     turan_upper_bound,
 )
+
+from oracles import count_primes_crosscheck
 
 
 def test_primes_below_anchors():
@@ -205,3 +208,22 @@ def test_chebyshev_audit():
     assert 0.9 <= audit.ratio_min <= audit.ratio_max <= 1.3
     with pytest.raises(ValueError):
         audit_chebyshev(2)
+
+
+def test_sieve_limit_bounds_the_largest_integer_sieved(monkeypatch):
+    monkeypatch.setattr(sieve, "SIEVE_LIMIT", 100)
+    assert primes_below(101)[-1] == 97  # sieves 0..100
+    assert audit_chebyshev(100).samples[-1].prime_count == 25  # sieves 0..100
+    with pytest.raises(FeasibilityError, match="sieve too large"):
+        primes_below(102)
+    with pytest.raises(FeasibilityError, match="sieve too large"):
+        audit_chebyshev(101)
+
+
+def test_mixed_degrees_are_rejected_in_either_order():
+    a = MonicIntPolynomial(4, (1, 0, 0, 0))  # x^4 + 1
+    b = MonicIntPolynomial(5, (3, 0, 0, 0, 0))  # x^5 + 3
+    for ambient in ([a, b], [b, a]):
+        with pytest.raises(ValueError, match="mixed degrees"):
+            exact_sifted_count(ambient, 8)
+    assert exact_sifted_count([a, a], 8) == 2  # x^4 + 1 is reducible mod every prime
