@@ -19,6 +19,11 @@ from .errors import FeasibilityError
 
 DEFAULT_ENUM_LIMIT = 50_000_000
 
+# Most heights one bounds audit may report on.  Rows cost time and output
+# linearly (40,000 heights of degree 9 take about 2 s and 13 MB); the limit
+# still admits every full range [0, n!] up to degree 8 (40,321 heights).
+AUDIT_HEIGHT_LIMIT = 100_000
+
 
 def poly_text(coeffs: Sequence[int]) -> str:
     """Render ascending coefficients as e.g. 'x^3 + 2x^2 + 2x + 1'.
@@ -208,6 +213,8 @@ def audit_bounds(degree: int, height_range: tuple[int, int]) -> list[BoundsAudit
     """One BoundsAuditReport per height in the inclusive `height_range`.
 
     Requires degree >= 3 and the range to sit inside [0, degree!].
+    Raises FeasibilityError ("audit too large") past AUDIT_HEIGHT_LIMIT
+    heights.
     """
     if degree < 3:
         raise ValueError(f"bounds audit requires degree >= 3, got {degree}")
@@ -215,5 +222,9 @@ def audit_bounds(degree: int, height_range: tuple[int, int]) -> list[BoundsAudit
     if not (0 <= lo <= hi <= math.factorial(degree)):
         raise ValueError(
             f"height range [{lo}, {hi}] must sit inside [0, {degree}!]"
+        )
+    if hi - lo + 1 > AUDIT_HEIGHT_LIMIT:
+        raise FeasibilityError(
+            f"audit too large: {hi - lo + 1} heights exceed limit {AUDIT_HEIGHT_LIMIT}"
         )
     return [bounds_report(degree, height) for height in range(lo, hi + 1)]

@@ -1,10 +1,11 @@
 """Prime sieving, the Turan sieve inequality, and the sifting pipeline.
 
 The sifting sets here are "irreducible mod p": an admissible polynomial
-belongs to A_p when its reduction mod p is irreducible.  Everything the
-inequality consumes (member counts, pairwise intersection counts) is
-computed exactly by enumeration, and the bound itself is evaluated in
-exact rational arithmetic, so a violation could only ever mean a bug.
+belongs to A_p when its reduction mod p is irreducible.  One membership
+pass counts the polynomials by their bitmask of A_p memberships over the
+primes below z; member counts, pairwise intersection counts and the
+sifted count are all read off that histogram, exactly.  The bound is
+evaluated in exact rational arithmetic, so a violation means a bug.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .polynomials import (
 # Largest integer the prime sieve marks; beyond it the bytearray and the
 # scan stop being desk-scale.
 SIEVE_LIMIT = 10**7
+
+# Most primes a Turan instance may sieve by.  Its pair table and the
+# bound's double sum grow with the square of the prime count: at 500 primes
+# each already takes seconds, and 9,592 primes would mean a 46M-entry table.
+INSTANCE_PRIME_LIMIT = 500
 
 
 def _prime_flags(n: int) -> bytearray:
@@ -199,6 +205,27 @@ def turan_upper_bound(inst: TuranInstance) -> Fraction:
     return Fraction(size) / U + 2 / U * single + 1 / U**2 * double
 
 
+def _membership_histogram(ambient: Iterable[MonicIntPolynomial],
+                          primes: tuple[int, ...]) -> dict[int, int]:
+    # The one membership pass: polynomials counted by an integer mask whose
+    # bit i is set iff the reduction mod primes[i] is irreducible.
+    histogram: dict[int, int] = {}
+    degree = None
+    for f in ambient:
+        if f.degree != degree:
+            if degree is not None:
+                raise ValueError(f"mixed degrees: {f.degree} after {degree}")
+            degree = f.degree
+            testers = [(1 << i, irreducibility_tester(p, degree)) for i, p in enumerate(primes)]
+        coeffs = f.coeffs
+        mask = 0
+        for bit, test in testers:
+            if test(coeffs):
+                mask |= bit
+        histogram[mask] = histogram.get(mask, 0) + 1
+    return histogram
+
+
 def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     """Count polynomials whose reduction is reducible at every prime p < z.
 
@@ -206,22 +233,33 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     ValueError.  With no primes below z nothing is sifted and the
     ambient size comes back unchanged.
     """
+    return _membership_histogram(ambient, primes_below(z)).get(0, 0)
+
+
+def _sifting_problem(degree: int, height: int, z: int,
+                     max_enum: int) -> tuple[TuranInstance, dict[int, int]]:
+    # The Turan instance at level z and the membership histogram it was read from.
+    if degree < 2:
+        raise ValueError(f"instance needs degree >= 2, got {degree}")
     primes = primes_below(z)
-    degree = testers = None
-    count = 0
-    for f in ambient:
-        if f.degree != degree:
-            if degree is not None:
-                raise ValueError(f"mixed degrees: {f.degree} after {degree}")
-            degree = f.degree
-            testers = [irreducibility_tester(p, degree) for p in primes]
-        coeffs = f.coeffs
-        for test in testers:
-            if test(coeffs):
-                break
-        else:
-            count += 1
-    return count
+    if len(primes) > INSTANCE_PRIME_LIMIT:
+        raise FeasibilityError(f"sieve level too large: {len(primes)} primes below {z} "
+                               f"exceed limit {INSTANCE_PRIME_LIMIT}")
+    histogram = _membership_histogram(enumerate_admissible(degree, height, max_enum), primes)
+    pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i:]}
+    for mask, count in histogram.items():
+        hits = [p for i, p in enumerate(primes) if mask >> i & 1]
+        for key in itertools.combinations_with_replacement(hits, 2):
+            pair[key] += count
+    instance = TuranInstance(
+        ambient_size=sum(histogram.values()),
+        z=z,
+        primes=primes,
+        densities=dict.fromkeys(primes, Fraction(1, degree)),
+        member_counts={p: pair[(p, p)] for p in primes},
+        pair_counts=pair,
+    )
+    return instance, histogram
 
 
 def build_admissible_instance(
@@ -232,34 +270,10 @@ def build_admissible_instance(
     Densities are all 1/degree; member and pairwise counts are exact,
     obtained by testing every admissible polynomial mod every prime
     below z.  The closed-form remainder shapes belong to the pipeline
-    report, never to this instance.
+    report, never to this instance.  Raises FeasibilityError ("sieve
+    level too large") past INSTANCE_PRIME_LIMIT primes below z.
     """
-    if degree < 2:
-        raise ValueError(f"instance needs degree >= 2, got {degree}")
-    primes = primes_below(z)
-    density = Fraction(1, degree)
-    member = {p: 0 for p in primes}
-    pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i + 1 :]}
-    testers = [irreducibility_tester(p, degree) for p in primes]
-    total = 0
-    for f in enumerate_admissible(degree, height, max_enum):
-        total += 1
-        coeffs = f.coeffs
-        hits = [p for p, test in zip(primes, testers) if test(coeffs)]
-        for i, p in enumerate(hits):
-            member[p] += 1
-            for q in hits[i + 1 :]:
-                pair[(p, q)] += 1
-    for p in primes:
-        pair[(p, p)] = member[p]
-    return TuranInstance(
-        ambient_size=total,
-        z=z,
-        primes=primes,
-        densities={p: density for p in primes},
-        member_counts=member,
-        pair_counts=pair,
-    )
+    return _sifting_problem(degree, height, z, max_enum)[0]
 
 
 def sieve_level(height: int) -> int:
@@ -334,16 +348,13 @@ def pipeline_lower_bound(
         raise ValueError(f"pipeline requires degree >= 3, got {degree}")
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
-    if z_override is not None:
-        z = z_override
-        if z < 1:
-            raise ValueError(f"z must be >= 1, got {z}")
-    else:
+    z = z_override
+    if z is None:
         z = sieve_level(height) if height >= 2 else 1
 
+    instance, histogram = _sifting_problem(degree, height, z, max_enum)
+    sifted = histogram.get(0, 0)
     ambient_count = count_admissible_exact(degree, height)
-    instance = build_admissible_instance(degree, height, z, max_enum)
-    sifted = exact_sifted_count(enumerate_admissible(degree, height, max_enum), z)
     bound = turan_upper_bound(instance) if instance.primes else None
     irreducible = count_admissible_irreducible(degree, height, max_enum, max_search)
 

@@ -11,7 +11,9 @@ call package internals:
 * `is_irreducible_trial_division` divides with the package's `_mod`,
   so it is independent of Rabin's criterion but not of the division;
 * `count_irreducibles_exhaustive` runs the package's Rabin test on every
-  polynomial, so it checks the Gauss/Moebius count, not the Rabin test.
+  polynomial, so it checks the Gauss/Moebius count, not the Rabin test;
+* `brute_sieve_counts` decides membership mod p with
+  `is_irreducible_trial_division`, so it shares that oracle's `_mod`.
 """
 
 import itertools
@@ -224,3 +226,34 @@ def count_irreducibles_exhaustive(
         if _is_irreducible_raw(list(tail) + [1], p):
             count += 1
     return count
+
+
+def brute_sieve_counts(
+    n: int, height: int, z: int
+) -> tuple[dict[int, int], dict[tuple[int, int], int], int]:
+    """Sieve data by brute force: (member, pair, sifted) at level z.
+
+    member[p] = |A_p|, pair[(p, q)] = |A_p ^ A_q| for primes p <= q below z
+    (the diagonal included), and sifted counts the polynomials reducible
+    mod every prime below z.  Polynomials come from
+    `brute_admissible_vectors`, primes from trial division, membership
+    from `is_irreducible_trial_division`: no table, no Rabin test.
+    """
+    primes = [p for p in range(2, z) if all(p % d for d in range(2, p))]
+    member = {p: 0 for p in primes}
+    pair = {(p, q): 0 for p in primes for q in primes if p <= q}
+    sifted = 0
+    for vec in brute_admissible_vectors(n, height):
+        hits = [
+            p
+            for p in primes
+            if is_irreducible_trial_division(PrimeFieldPolynomial.from_integers(p, [*vec, 1]))
+        ]
+        for p in hits:
+            member[p] += 1
+            for q in hits:
+                if p <= q:
+                    pair[(p, q)] += 1
+        if not hits:
+            sifted += 1
+    return member, pair, sifted

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 
 def test_count_payload(run_cli):
@@ -214,6 +215,25 @@ def test_oversized_sieves_exit_3_with_empty_stdout(run_cli):
         err = json.loads(lines[0])
         assert err["kind"] == "feasibility"
         assert err["message"].startswith("sieve too large")
+
+
+def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
+    for argv, message in (
+        (["sieve", "--degree", "3", "--height", "6", "--z", "100000"], "sieve level too large"),
+        # The canonical level of height 10^12 is 30,232: 3,269 primes.
+        (["sieve", "--degree", "3", "--height", "1000000000000"], "sieve level too large"),
+        (["bounds-audit", "--degree", "9", "--h-min", "0", "--h-max", "362880"],
+         "audit too large"),
+    ):
+        start = time.monotonic()
+        proc = run_cli(*argv, expect_code=3)
+        assert time.monotonic() - start < 1, argv
+        assert proc.stdout == b""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["kind"] == "feasibility"
+        assert err["message"].startswith(message)
 
 
 def test_repeated_runs_are_byte_identical(run_cli):

@@ -72,6 +72,9 @@ CASES = [
     "irr-count --degree 4 --height 24 --max-enum 10",
     "irr-count --degree 3 --height 2 --max-search 1",
     "sieve --degree 3 --height 6 --max-enum 5",
+    "sieve --degree 3 --height 6 --z 100000",
+    "sieve --degree 3 --height 1000000000000",
+    "bounds-audit --degree 9 --h-min 0 --h-max 362880",
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible import polynomials
 from admissible.errors import FeasibilityError
 from admissible.polynomials import (
     MonicIntPolynomial,
@@ -154,6 +155,20 @@ def test_audit_preconditions():
         audit_bounds(3, (0, 7))  # beyond 3!
     with pytest.raises(ValueError):
         audit_bounds(3, (4, 2))
+
+
+def test_audit_height_limit(monkeypatch):
+    with pytest.raises(FeasibilityError, match="audit too large: 362881 heights"):
+        audit_bounds(9, (0, 362880))
+    with pytest.raises(FeasibilityError, match="audit too large"):
+        audit_bounds(12, (0, math.factorial(12)))
+    # Degree 8's full range [0, 8!] is the largest that fits.
+    monkeypatch.setattr(polynomials, "bounds_report", lambda n, h: h)
+    assert len(audit_bounds(8, (0, 40320))) == 40321
+    monkeypatch.setattr(polynomials, "AUDIT_HEIGHT_LIMIT", 5)
+    assert audit_bounds(3, (1, 5)) == [1, 2, 3, 4, 5]
+    with pytest.raises(FeasibilityError, match="6 heights exceed limit 5"):
+        audit_bounds(3, (0, 5))
 
 
 def test_polynomial_type_validation():

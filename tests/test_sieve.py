@@ -1,9 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admissible import sieve
 from admissible.errors import FeasibilityError
+from admissible.integer_irreducibility import count_admissible_irreducible
 from admissible.polynomials import MonicIntPolynomial, enumerate_admissible
 from admissible.sieve import (
     TuranInstance,
@@ -17,7 +21,7 @@ from admissible.sieve import (
     turan_upper_bound,
 )
 
-from oracles import count_primes_crosscheck
+from oracles import brute_sieve_counts, count_primes_crosscheck
 
 
 def test_primes_below_anchors():
@@ -227,3 +231,68 @@ def test_mixed_degrees_are_rejected_in_either_order():
         with pytest.raises(ValueError, match="mixed degrees"):
             exact_sifted_count(ambient, 8)
     assert exact_sifted_count([a, a], 8) == 2  # x^4 + 1 is reducible mod every prime
+
+
+def _assert_sieve_data_matches_brute_force(n, h, z):
+    member, pair, sifted = brute_sieve_counts(n, h, z)
+    inst = build_admissible_instance(n, h, z)
+    assert inst.member_counts == member, (n, h, z)
+    assert inst.pair_counts == pair, (n, h, z)
+    assert exact_sifted_count(enumerate_admissible(n, h), z) == sifted, (n, h, z)
+    assert pipeline_lower_bound(n, h, z_override=z).sifted_exact == sifted, (n, h, z)
+
+
+def test_sieve_data_matches_brute_force_on_a_grid():
+    # Each z stands for its prime set: (), (2), (2, 3), (2, 3, 5), ... (2, ..., 11).
+    for n in (3, 4):
+        for h in range(9):
+            for z in (1, 2, 3, 4, 6, 8, 12):
+                _assert_sieve_data_matches_brute_force(n, h, z)
+
+
+@given(n=st.sampled_from([3, 4]), h=st.integers(0, 8), z=st.integers(1, 12))
+@settings(max_examples=30, deadline=None)
+def test_sieve_data_matches_brute_force_property(n, h, z):
+    _assert_sieve_data_matches_brute_force(n, h, z)
+
+
+def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
+    calls = []
+    irreducible_calls = []
+
+    def counted_enumerate(*args, **kwargs):
+        calls.append(args)
+        return enumerate_admissible(*args, **kwargs)
+
+    def counted_irreducible(*args, **kwargs):
+        irreducible_calls.append(args)
+        return count_admissible_irreducible(*args, **kwargs)
+
+    monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
+    monkeypatch.setattr(sieve, "count_admissible_irreducible", counted_irreducible)
+    report = pipeline_lower_bound(3, 6, z_override=8)
+    assert len(calls) == 1  # the membership pass; A(H) enumerates on its own route
+    assert len(irreducible_calls) == 1
+    assert report.irreducible_count == count_admissible_irreducible(3, 6)
+
+
+def test_instance_prime_limit_is_checked_before_any_membership_test(monkeypatch):
+    def no_tester(p, degree):
+        raise AssertionError("a tester was built past the prime limit")
+
+    monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
+    start = time.monotonic()
+    with pytest.raises(FeasibilityError, match="sieve level too large"):
+        build_admissible_instance(3, 6, 100_000)
+    with pytest.raises(FeasibilityError, match="sieve level too large"):
+        pipeline_lower_bound(3, 10**12)  # level 30,232: 3,269 primes
+    assert time.monotonic() - start < 1
+
+
+def test_instance_prime_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(sieve, "INSTANCE_PRIME_LIMIT", 4)
+    assert build_admissible_instance(3, 6, 8).primes == (2, 3, 5, 7)
+    with pytest.raises(FeasibilityError, match="5 primes below 12 exceed limit 4"):
+        build_admissible_instance(3, 6, 12)
+    # The sifted count alone is linear in the primes and has no limit.
+    assert exact_sifted_count(enumerate_admissible(3, 6), 12) == brute_sieve_counts(3, 6, 12)[2]
