@@ -6,14 +6,18 @@ a nonzero polynomial is never 0.  Moduli are validated by trial
 division on construction, which is all that desk-scale moduli need.
 
 Internally everything runs on plain coefficient lists.  Irreducibility
-is decided by Rabin's criterion, answered from a memoized lookup table
-when the whole degree fits.  The exact count of monic irreducibles of
-each degree comes from the Gauss/Moebius formula, which the test suite
-compares against an exhaustive Rabin count.
+of one polynomial is decided by Rabin's criterion.  When all p^n monic
+polynomials of a degree fit in a memoized lookup table, the table is
+built by striking out every product g*h with g monic irreducible of
+degree <= n/2, so the build runs no Rabin test at all.  The exact count
+of monic irreducibles of each degree comes from the Gauss/Moebius
+formula, which the test suite compares against an exhaustive Rabin
+count and against the tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -211,12 +215,38 @@ def is_irreducible_mod_p(f: PrimeFieldPolynomial) -> bool:
     return _is_irreducible_raw(list(f.coeffs), f.modulus)
 
 
+def _irreducible_flags(p: int, degree: int) -> bytearray:
+    # A monic polynomial is reducible iff it is g*h with g monic irreducible
+    # of degree m <= degree/2 and h monic of degree degree - m.  Strike out
+    # every such product; the survivors are the irreducibles.  The g come
+    # from the same sieve at degree m.
+    flags = bytearray([1]) * p**degree
+    weights = [p**k for k in range(degree)]
+    for m in range(1, degree // 2 + 1):
+        cofactors = list(itertools.product(range(p), repeat=degree - m))
+        tails = (t[::-1] for t in itertools.product(range(p), repeat=m))  # index order
+        for g in itertools.compress(tails, _irreducible_flags(p, m)):
+            for h in cofactors:
+                c = [0] * m + list(h)  # x^m * h below x^degree
+                for i, gi in enumerate(g):
+                    if gi:
+                        for j, hj in enumerate(h, i):
+                            c[j] += gi * hj
+                        c[i + degree - m] += gi  # gi x^i times the leading x^(degree-m)
+                flags[sum([ck % p * w for ck, w in zip(c, weights)])] = 0
+    return flags
+
+
 @lru_cache(maxsize=None)
 def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     """Lookup table over all p^degree monic polynomials of one degree.
 
     Index i encodes the non-leading coefficients as base-p digits with
     a_0 least significant.  Only built when p^degree <= TABLE_LIMIT.
+    The table is a sieve of products: it starts with every entry set and
+    clears g*h for each monic irreducible g of degree m <= degree/2 and
+    each monic h of degree degree - m.  That is about p^degree / m
+    small products for each m, and no Rabin test.
     """
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
@@ -225,16 +255,7 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     size = p**degree
     if size > TABLE_LIMIT:
         raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
-    flags = []
-    for i in range(size):
-        fc = []
-        v = i
-        for _ in range(degree):
-            v, d = divmod(v, p)
-            fc.append(d)
-        fc.append(1)
-        flags.append(_is_irreducible_raw(fc, p))
-    return tuple(flags)
+    return tuple(map(bool, _irreducible_flags(p, degree)))
 
 
 def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import FeasibilityError
-from .finite_field import irreducibility_tester
+from .finite_field import TABLE_LIMIT, irreducibility_tester
 from .integer_irreducibility import DEFAULT_SEARCH_LIMIT, count_admissible_irreducible
 from .polynomials import (
     DEFAULT_ENUM_LIMIT,
@@ -34,6 +34,12 @@ SIEVE_LIMIT = 10**7
 # bound's double sum grow with the square of the prime count: at 500 primes
 # each already takes seconds, and 9,592 primes would mean a 46M-entry table.
 INSTANCE_PRIME_LIMIT = 500
+
+# Most direct Rabin tests an instance may need: the ambient size times the
+# primes below z with p^degree > TABLE_LIMIT, which get no lookup table.
+# One degree-4 test took 0.2 ms (p near 17) to 0.5 ms (p near 3,571) on
+# a 2 vCPU Intel Xeon with Python 3.11, so this is about 10 s at most.
+RABIN_TEST_LIMIT = 20_000
 
 
 def _prime_flags(n: int) -> bytearray:
@@ -245,6 +251,12 @@ def _sifting_problem(degree: int, height: int, z: int,
     if len(primes) > INSTANCE_PRIME_LIMIT:
         raise FeasibilityError(f"sieve level too large: {len(primes)} primes below {z} "
                                f"exceed limit {INSTANCE_PRIME_LIMIT}")
+    untabled = sum(p**degree > TABLE_LIMIT for p in primes)
+    if untabled:
+        tests = count_admissible_exact(degree, height) * untabled
+        if tests > RABIN_TEST_LIMIT:
+            raise FeasibilityError(f"sieve work too large: {tests} Rabin tests for primes "
+                                   f"without a table exceed limit {RABIN_TEST_LIMIT}")
     histogram = _membership_histogram(enumerate_admissible(degree, height, max_enum), primes)
     pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i:]}
     for mask, count in histogram.items():
@@ -271,7 +283,8 @@ def build_admissible_instance(
     obtained by testing every admissible polynomial mod every prime
     below z.  The closed-form remainder shapes belong to the pipeline
     report, never to this instance.  Raises FeasibilityError ("sieve
-    level too large") past INSTANCE_PRIME_LIMIT primes below z.
+    level too large") past INSTANCE_PRIME_LIMIT primes below z, and
+    ("sieve work too large") past RABIN_TEST_LIMIT direct Rabin tests.
     """
     return _sifting_problem(degree, height, z, max_enum)[0]
 

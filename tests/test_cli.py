@@ -222,6 +222,8 @@ def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
         (["sieve", "--degree", "3", "--height", "6", "--z", "100000"], "sieve level too large"),
         # The canonical level of height 10^12 is 30,232: 3,269 primes.
         (["sieve", "--degree", "3", "--height", "1000000000000"], "sieve level too large"),
+        # 2,600 quartics times 494 primes whose quartics get no table.
+        (["sieve", "--degree", "4", "--height", "24", "--z", "3572"], "sieve work too large"),
         (["bounds-audit", "--degree", "9", "--h-min", "0", "--h-max", "362880"],
          "audit too large"),
     ):

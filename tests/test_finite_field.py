@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible import finite_field
 from admissible.errors import FeasibilityError
 from admissible.finite_field import (
+    TABLE_LIMIT,
     PrimeFieldPolynomial,
+    _is_irreducible_raw,
     audit_irreducible_counts,
     count_irreducibles_exact,
+    irreducible_table,
     is_irreducible_mod_p,
     is_prime,
     mobius,
@@ -137,6 +141,43 @@ def test_rabin_agrees_with_trial_division_exhaustively():
                     p,
                     f.coeffs,
                 )
+
+
+def test_irreducible_table_matches_rabin_entry_by_entry():
+    # Index i holds a_0, ..., a_{n-1} as base-p digits, a_0 least significant.
+    for p in primes_below(2501):
+        n = 1
+        while p**n <= 2500:
+            for i, flag in enumerate(irreducible_table(p, n)):
+                tail = [i // p**k % p for k in range(n)]
+                assert flag == _is_irreducible_raw(tail + [1], p), (p, n, i)
+            n += 1
+
+
+@pytest.mark.parametrize("p, n", [(7, 5), (11, 4), (13, 4), (31, 3), (181, 2), (2, 15)])
+def test_irreducible_table_counts_match_gauss(p, n):
+    table = irreducible_table(p, n)
+    assert len(table) == p**n
+    assert sum(table) == count_irreducibles_exact(n, p)
+
+
+def test_irreducible_table_runs_no_rabin_test(monkeypatch):
+    def no_rabin(fc, p):
+        raise AssertionError("a table build ran a Rabin test")
+
+    irreducible_table.cache_clear()
+    monkeypatch.setattr(finite_field, "_is_irreducible_raw", no_rabin)
+    assert sum(irreducible_table(13, 4)) == count_irreducibles_exact(4, 13)
+
+
+def test_irreducible_table_preconditions():
+    message = f"table too large: 11\\^5 = 161051 exceeds {TABLE_LIMIT}"
+    with pytest.raises(FeasibilityError, match=message):
+        irreducible_table(11, 5)
+    with pytest.raises(ValueError, match="not prime: 4"):
+        irreducible_table(4, 2)
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        irreducible_table(5, 0)
 
 
 def test_count_anchors():

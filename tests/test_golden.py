@@ -74,6 +74,7 @@ CASES = [
     "sieve --degree 3 --height 6 --max-enum 5",
     "sieve --degree 3 --height 6 --z 100000",
     "sieve --degree 3 --height 1000000000000",
+    "sieve --degree 4 --height 24 --z 3572",
     "bounds-audit --degree 9 --h-min 0 --h-max 362880",
 ]
 
