@@ -9,21 +9,9 @@ count in exact rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .combinatorics import (
-    CompositionQuery,
-    binomial,
-    count_bounded_compositions,
-    count_nonneg_compositions,
-    count_positive_compositions,
-)
+from .combinatorics import CompositionQuery, binomial, count_bounded_compositions
 from .errors import FeasibilityError
-from .finite_field import (
-    PrimeFieldPolynomial,
-    audit_irreducible_counts,
-    count_irreducibles_exact,
-    is_irreducible_mod_p,
-    reduce_mod_p,
-)
+from .finite_field import audit_irreducible_counts, count_irreducibles_exact
 from .integer_irreducibility import (
     FactorizationWitness,
     count_admissible_irreducible,
@@ -58,7 +46,6 @@ __all__ = [
     "FactorizationWitness",
     "FeasibilityError",
     "MonicIntPolynomial",
-    "PrimeFieldPolynomial",
     "TuranInstance",
     "audit_bounds",
     "audit_chebyshev",
@@ -71,16 +58,12 @@ __all__ = [
     "count_admissible_irreducible",
     "count_bounded_compositions",
     "count_irreducibles_exact",
-    "count_nonneg_compositions",
-    "count_positive_compositions",
     "enumerate_admissible",
     "exact_sifted_count",
     "is_admissible",
-    "is_irreducible_mod_p",
     "is_irreducible_over_z",
     "pipeline_lower_bound",
     "primes_below",
-    "reduce_mod_p",
     "sieve_level",
     "target_sum",
     "turan_upper_bound",

@@ -1,14 +1,9 @@
-"""Exact counting of bounded and unbounded integer compositions.
+"""Exact counting of capped integer compositions.
 
-Every count is a plain Python int, so nothing here can overflow or pass
-through floating point.  Two composition conventions coexist on purpose
-and are kept apart under distinct names:
-
-* positive compositions: ordered sums with every part >= 1,
-* nonnegative compositions: ordered sums with every part >= 0.
-
-`count_bounded_compositions` additionally caps each part at H, which is
-the counting problem behind the admissible-polynomial census.
+`count_bounded_compositions` counts ordered sums of nonnegative parts
+with every part capped at H, the counting problem behind the
+admissible-polynomial census.  Every count is a plain Python int, so
+nothing here can overflow or pass through floating point.
 """
 
 from __future__ import annotations
@@ -21,19 +16,20 @@ from dataclasses import dataclass
 class CompositionQuery:
     """An ordered-sum counting problem: `parts` parts adding up to `target`.
 
-    `cap` restricts every part to [0, cap]; cap=None means unbounded.
+    `cap` restricts every part to [0, cap].
     """
 
     parts: int
     target: int
-    cap: int | None = None
+    cap: int
 
     def __post_init__(self):
         if self.parts < 1:
             raise ValueError(f"parts must be >= 1, got {self.parts}")
         if self.target < 0:
             raise ValueError(f"target must be >= 0, got {self.target}")
-        if self.cap is not None and self.cap < 0:
+        if self.cap < 0:
+            # "or None" is stale, but the `count --height -1` golden pins this text.
             raise ValueError(f"cap must be >= 0 or None, got {self.cap}")
 
 
@@ -52,28 +48,6 @@ def binomial(n: int, k: int) -> int:
     return _choose(n, k)
 
 
-def count_positive_compositions(parts: int, target: int) -> int:
-    """Ordered sums of `parts` positive integers equal to `target`.
-
-    Equals C(target - 1, parts - 1): place parts-1 bars into the
-    target-1 gaps between units.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
-    return _choose(target - 1, parts - 1)
-
-
-def count_nonneg_compositions(parts: int, target: int) -> int:
-    """Ordered sums of `parts` nonnegative integers equal to `target`: C(target+parts-1, parts-1)."""
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if target < 0:
-        raise ValueError(f"target must be >= 0, got {target}")
-    return _choose(target + parts - 1, parts - 1)
-
-
 def count_bounded_compositions(q: CompositionQuery) -> int:
     """Exact number of tuples (a_1, ..., a_parts) with sum `target` and 0 <= a_i <= cap.
 
@@ -82,12 +56,10 @@ def count_bounded_compositions(q: CompositionQuery) -> int:
         sum_j (-1)^j C(n, j) C(S - j(H+1) + n - 1, n - 1)
 
     Terms whose upper index goes negative vanish.  With cap >= target the
-    j >= 1 terms are all zero and this reduces to the unbounded count.
+    j >= 1 terms are all zero and this reduces to C(S + n - 1, n - 1).
     A target above parts * cap is answered 0 up front: the alternating sum
     would also reach 0, but only after n + 1 huge binomials.
     """
-    if q.cap is None:
-        return count_nonneg_compositions(q.parts, q.target)
     n, S, H = q.parts, q.target, q.cap
     if S > n * H:
         return 0

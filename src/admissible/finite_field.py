@@ -1,18 +1,16 @@
 """Polynomial arithmetic and irreducibility over the prime fields F_p.
 
-Polynomials are stored as ascending coefficient tuples with entries in
-[0, p); the zero polynomial is the empty tuple and the leading entry of
-a nonzero polynomial is never 0.  Moduli are validated by trial
-division on construction, which is all that desk-scale moduli need.
+Polynomials over F_p are plain ascending coefficient lists with entries
+in [0, p) and no trailing zeros; [] is the zero polynomial.  Primality
+is decided by trial division, which is all that desk-scale moduli need.
 
-Internally everything runs on plain coefficient lists.  Irreducibility
-of one polynomial is decided by Rabin's criterion.  When all p^n monic
-polynomials of a degree fit in a memoized lookup table, the table is
-built by striking out every product g*h with g monic irreducible of
-degree <= n/2, so the build runs no Rabin test at all.  The exact count
-of monic irreducibles of each degree comes from the Gauss/Moebius
-formula, which the test suite compares against an exhaustive Rabin
-count and against the tables.
+Irreducibility of one polynomial is decided by Rabin's criterion.  When
+all p^n monic polynomials of a degree fit in a memoized lookup table,
+the table is built by striking out every product g*h with g monic
+irreducible of degree <= n/2, so the build runs no Rabin test at all.
+The exact count of monic irreducibles of each degree comes from the
+Gauss/Moebius formula, which the test suite compares against an
+exhaustive Rabin count and against the tables.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from math import prod
 from typing import Callable, Sequence
 
 from .errors import FeasibilityError
-from .polynomials import MonicIntPolynomial, poly_text
 
 # Largest p^degree for which a full irreducibility lookup table is built.
 TABLE_LIMIT = 32768
@@ -66,54 +63,7 @@ def mobius(n: int) -> int:
     return 0 if prod(divisors) != n else (-1) ** len(divisors)
 
 
-@dataclass(frozen=True)
-class PrimeFieldPolynomial:
-    """A polynomial over F_p: ascending residues, empty tuple for zero."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ValueError(f"not prime: {self.modulus}")
-        if any(not 0 <= c < self.modulus for c in self.coeffs):
-            raise ValueError("coefficients must be residues in [0, p)")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading residue must be nonzero (strip trailing zeros)")
-
-    @classmethod
-    def from_integers(cls, modulus: int, coeffs: Sequence[int]) -> "PrimeFieldPolynomial":
-        """Reduce arbitrary integer coefficients mod p and normalize."""
-        if not is_prime(modulus):
-            raise ValueError(f"not prime: {modulus}")
-        c = [x % modulus for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return cls(modulus, tuple(c))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def text(self) -> str:
-        return poly_text(self.coeffs)
-
-
-def reduce_mod_p(f: MonicIntPolynomial, p: int) -> PrimeFieldPolynomial:
-    """Coefficientwise reduction of a monic integer polynomial mod p.
-
-    The result is monic of the same degree for every prime, since the
-    leading 1 survives reduction.
-    """
-    return PrimeFieldPolynomial.from_integers(p, f.all_coefficients())
-
-
 # --- raw list arithmetic -------------------------------------------------
-# Lists are ascending with no trailing zeros; [] is the zero polynomial.
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -206,13 +156,6 @@ def _is_irreducible_raw(fc: list[int], p: int) -> bool:
         if i in checkpoints and _gcd(_sub(h, x, p), fc, p) != [1]:
             return False
     return h == x
-
-
-def is_irreducible_mod_p(f: PrimeFieldPolynomial) -> bool:
-    """Deterministic irreducibility test in F_p[x] (Rabin's criterion)."""
-    if f.degree < 1:
-        raise ValueError("irreducibility needs degree >= 1")
-    return _is_irreducible_raw(list(f.coeffs), f.modulus)
 
 
 def _irreducible_flags(p: int, degree: int) -> bytearray:

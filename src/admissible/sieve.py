@@ -63,13 +63,6 @@ def primes_below(z: int) -> tuple[int, ...]:
     return tuple(itertools.compress(range(z), _prime_flags(z)))
 
 
-def prime_count(z: int) -> int:
-    """pi(z): the number of primes p <= z."""
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    return len(primes_below(z + 1))
-
-
 @dataclass(frozen=True)
 class ChebyshevSample:
     z: int
@@ -211,10 +204,12 @@ def turan_upper_bound(inst: TuranInstance) -> Fraction:
     return Fraction(size) / U + 2 / U * single + 1 / U**2 * double
 
 
-def _membership_histogram(ambient: Iterable[MonicIntPolynomial],
-                          primes: tuple[int, ...]) -> dict[int, int]:
+def _membership_histogram(ambient: Iterable[MonicIntPolynomial], primes: tuple[int, ...],
+                          first_hit: bool = False) -> dict[int, int]:
     # The one membership pass: polynomials counted by an integer mask whose
-    # bit i is set iff the reduction mod primes[i] is irreducible.
+    # bit i is set iff the reduction mod primes[i] is irreducible.  With
+    # first_hit a polynomial stops at its first irreducible reduction, so
+    # only mask 0 (the sifted count) stays exact.
     histogram: dict[int, int] = {}
     degree = None
     for f in ambient:
@@ -228,6 +223,8 @@ def _membership_histogram(ambient: Iterable[MonicIntPolynomial],
         for bit, test in testers:
             if test(coeffs):
                 mask |= bit
+                if first_hit:
+                    break
         histogram[mask] = histogram.get(mask, 0) + 1
     return histogram
 
@@ -237,9 +234,10 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
 
     All polynomials must share one degree; a change of degree raises
     ValueError.  With no primes below z nothing is sifted and the
-    ambient size comes back unchanged.
+    ambient size comes back unchanged.  A polynomial is tested at no
+    further prime once one reduction is irreducible.
     """
-    return _membership_histogram(ambient, primes_below(z)).get(0, 0)
+    return _membership_histogram(ambient, primes_below(z), first_hit=True).get(0, 0)
 
 
 def _sifting_problem(degree: int, height: int, z: int,

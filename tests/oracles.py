@@ -6,8 +6,6 @@ unpruned factor-pair search with its own division routine.  None of
 that shares code with the package paths it checks.  Three oracles do
 call package internals:
 
-* the `fp_*` wrappers run the package's raw F_p list arithmetic
-  (`_mul`, `_divmod`, `_gcd`, `_powmod`);
 * `is_irreducible_trial_division` divides with the package's `_mod`,
   so it is independent of Rabin's criterion but not of the division;
 * `count_irreducibles_exhaustive` runs the package's Rabin test on every
@@ -21,16 +19,7 @@ import math
 
 from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
-from admissible.finite_field import (
-    PrimeFieldPolynomial,
-    _divmod,
-    _gcd,
-    _is_irreducible_raw,
-    _mod,
-    _mul,
-    _powmod,
-    is_prime,
-)
+from admissible.finite_field import _is_irreducible_raw, _mod, is_prime
 from admissible.polynomials import MonicIntPolynomial
 
 DEFAULT_ORACLE_LIMIT = 10**8
@@ -112,7 +101,7 @@ def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORAC
     Raises FeasibilityError ("oracle too large") when the tuple space
     (cap+1)^parts exceeds `max_oracle`.
     """
-    cap = q.target if q.cap is None else q.cap
+    cap = q.cap
     space = (cap + 1) ** q.parts
     if space > max_oracle:
         raise FeasibilityError(
@@ -152,58 +141,17 @@ def multiply_monic(g: MonicIntPolynomial, h: MonicIntPolynomial) -> MonicIntPoly
     return MonicIntPolynomial(g.degree + h.degree, tuple(c[:-1]))
 
 
-def _same_modulus(*polys: PrimeFieldPolynomial) -> int:
-    p = polys[0].modulus
-    for g in polys[1:]:
-        if g.modulus != p:
-            raise ValueError(f"mismatched moduli: {g.modulus} != {p}")
-    return p
+def is_irreducible_trial_division(coeffs: list[int], p: int) -> bool:
+    """Second oracle: divide by every monic polynomial of degree <= n/2.
 
-
-def fp_mul(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """Product in F_p[x]."""
-    p = _same_modulus(f, g)
-    return PrimeFieldPolynomial(p, tuple(_mul(list(f.coeffs), list(g.coeffs), p)))
-
-
-def fp_divmod(
-    f: PrimeFieldPolynomial, g: PrimeFieldPolynomial
-) -> tuple[PrimeFieldPolynomial, PrimeFieldPolynomial]:
-    """Quotient and remainder; raises ZeroDivisionError on a zero divisor."""
-    p = _same_modulus(f, g)
-    q, r = _divmod(list(f.coeffs), list(g.coeffs), p)
-    return PrimeFieldPolynomial(p, tuple(q)), PrimeFieldPolynomial(p, tuple(r))
-
-
-def fp_mod(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """Remainder of f mod g."""
-    return fp_divmod(f, g)[1]
-
-
-def fp_gcd(f: PrimeFieldPolynomial, g: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """Monic gcd in F_p[x]."""
-    p = _same_modulus(f, g)
-    return PrimeFieldPolynomial(p, tuple(_gcd(list(f.coeffs), list(g.coeffs), p)))
-
-
-def fp_powmod(g: PrimeFieldPolynomial, e: int, f: PrimeFieldPolynomial) -> PrimeFieldPolynomial:
-    """g^e mod f by square-and-multiply; e may be arbitrarily large."""
-    p = _same_modulus(g, f)
-    if f.is_zero():
-        raise ZeroDivisionError("zero divisor")
-    return PrimeFieldPolynomial(p, tuple(_powmod(list(g.coeffs), e, list(f.coeffs), p)))
-
-
-def is_irreducible_trial_division(f: PrimeFieldPolynomial) -> bool:
-    """Second oracle: divide by every monic polynomial of degree <= n/2."""
-    if f.degree < 1:
+    `coeffs` is the full ascending list over F_p, leading entry included.
+    """
+    n = len(coeffs) - 1
+    if n < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    p = f.modulus
-    fc = list(f.coeffs)
-    for m in range(1, f.degree // 2 + 1):
+    for m in range(1, n // 2 + 1):
         for tail in itertools.product(range(p), repeat=m):
-            g = list(tail) + [1]
-            if not _mod(fc, g, p):
+            if not _mod(coeffs, list(tail) + [1], p):
                 return False
     return True
 
@@ -245,9 +193,7 @@ def brute_sieve_counts(
     sifted = 0
     for vec in brute_admissible_vectors(n, height):
         hits = [
-            p
-            for p in primes
-            if is_irreducible_trial_division(PrimeFieldPolynomial.from_integers(p, [*vec, 1]))
+            p for p in primes if is_irreducible_trial_division([c % p for c in (*vec, 1)], p)
         ]
         for p in hits:
             member[p] += 1

@@ -20,7 +20,6 @@ from admissible.sieve import (
     audit_chebyshev,
     build_admissible_instance,
     exact_sifted_count,
-    prime_count,
     primes_below,
     turan_upper_bound,
 )
@@ -147,8 +146,8 @@ def test_criterion_6_sieve_vs_truth_chain():
 
 
 def test_criterion_7_chebyshev():
-    assert prime_count(100) == 25 == count_primes_crosscheck(100)
-    assert prime_count(1000) == 168 == count_primes_crosscheck(1000)
+    assert len(primes_below(101)) == 25 == count_primes_crosscheck(100)
+    assert len(primes_below(1001)) == 168 == count_primes_crosscheck(1000)
     assert len(primes_below(10**6 + 1)) == 78498 == count_primes_crosscheck(10**6)
     audit = audit_chebyshev(10**6)
     assert audit.within_band, (audit.ratio_min, audit.ratio_max)

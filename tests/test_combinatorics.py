@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,6 @@ from admissible.combinatorics import (
     CompositionQuery,
     binomial,
     count_bounded_compositions,
-    count_nonneg_compositions,
-    count_positive_compositions,
 )
 from admissible.errors import FeasibilityError
 
@@ -38,23 +38,18 @@ def test_pascal_rule_full_grid():
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
-def test_positive_composition_anchors():
-    assert count_positive_compositions(2, 5) == 4  # (1,4),(2,3),(3,2),(4,1)
-    assert count_positive_compositions(3, 3) == 1
-    assert count_positive_compositions(4, 3) == 0
-
-
 def test_nonneg_composition_anchors():
-    assert count_nonneg_compositions(3, 2) == 6
-    assert count_nonneg_compositions(1, 7) == 1
-    assert count_nonneg_compositions(3, 5) == 21
+    # A cap at or above the target caps nothing: C(target + parts - 1, parts - 1).
+    assert count_bounded_compositions(CompositionQuery(3, 2, 2)) == 6
+    assert count_bounded_compositions(CompositionQuery(1, 7, 7)) == 1
+    assert count_bounded_compositions(CompositionQuery(3, 5, 9)) == 21
 
 
 def test_nonneg_composition_matches_enumeration():
     for parts in range(1, 4):
         for target in range(0, 9):
             expected = brute_count_tuples(parts, target, target)
-            assert count_nonneg_compositions(parts, target) == expected
+            assert count_bounded_compositions(CompositionQuery(parts, target, target)) == expected
 
 
 def test_bounded_composition_anchors():
@@ -64,11 +59,6 @@ def test_bounded_composition_anchors():
     # inclusion-exclusion: C(26,3) - 4 C(15,3) + 6 C(4,3)
     assert count_bounded_compositions(CompositionQuery(4, 23, 10)) == 804
     assert brute_count_tuples(4, 23, 10) == 804
-
-
-def test_unbounded_query_equals_nonneg():
-    q = CompositionQuery(4, 9, None)
-    assert count_bounded_compositions(q) == count_nonneg_compositions(4, 9)
 
 
 def test_brute_force_anchors():
@@ -99,7 +89,7 @@ def test_cap_beyond_target_is_unbounded(parts, target, cap):
     if cap < target:
         cap += target  # force cap >= target
     bounded = count_bounded_compositions(CompositionQuery(parts, target, cap))
-    assert bounded == count_nonneg_compositions(parts, target)
+    assert bounded == math.comb(target + parts - 1, parts - 1)
 
 
 @given(parts=st.integers(1, 6), s=st.integers(0, 60), cap=st.integers(0, 10))
@@ -111,15 +101,6 @@ def test_complement_symmetry(parts, s, cap):
     assert left == right
 
 
-@given(parts=st.integers(1, 8), k=st.integers(0, 60))
-@settings(max_examples=150)
-def test_positive_reindexes_to_nonneg(parts, k):
-    if k >= parts:
-        assert count_positive_compositions(parts, k) == count_nonneg_compositions(
-            parts, k - parts
-        )
-
-
 @pytest.mark.parametrize(
     "parts,target,cap",
     [(0, 1, 1), (1, -1, 1), (1, 1, -1)],
@@ -127,3 +108,8 @@ def test_positive_reindexes_to_nonneg(parts, k):
 def test_query_validation(parts, target, cap):
     with pytest.raises(ValueError):
         CompositionQuery(parts, target, cap)
+
+
+def test_query_cap_is_required():
+    with pytest.raises(TypeError):
+        CompositionQuery(4, 9)

@@ -10,32 +10,22 @@ from admissible import finite_field
 from admissible.errors import FeasibilityError
 from admissible.finite_field import (
     TABLE_LIMIT,
-    PrimeFieldPolynomial,
+    _divmod,
+    _gcd,
     _is_irreducible_raw,
+    _mod,
+    _mul,
+    _powmod,
     audit_irreducible_counts,
     count_irreducibles_exact,
+    irreducibility_tester,
     irreducible_table,
-    is_irreducible_mod_p,
     is_prime,
     mobius,
-    reduce_mod_p,
 )
-from admissible.polynomials import MonicIntPolynomial
 from admissible.sieve import primes_below
 
-from oracles import (
-    count_irreducibles_exhaustive,
-    fp_divmod,
-    fp_gcd,
-    fp_mod,
-    fp_mul,
-    fp_powmod,
-    is_irreducible_trial_division,
-)
-
-
-def FP(p, coeffs):
-    return PrimeFieldPolynomial.from_integers(p, coeffs)
+from oracles import count_irreducibles_exhaustive, is_irreducible_trial_division
 
 
 def test_is_prime_small():
@@ -54,80 +44,61 @@ def test_mobius_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
-def test_construction_validation():
-    with pytest.raises(ValueError, match="not prime"):
-        PrimeFieldPolynomial(4, (1, 1))
-    with pytest.raises(ValueError):
-        PrimeFieldPolynomial(3, (5, 1))  # residue out of range
-    with pytest.raises(ValueError):
-        PrimeFieldPolynomial(3, (1, 0))  # trailing zero
-    assert PrimeFieldPolynomial(3, ()).is_zero()
-
-
-def test_reduce_mod_p_anchors():
-    f = MonicIntPolynomial(3, (1, 2, 2))
-    assert reduce_mod_p(f, 2).coeffs == (1, 0, 0, 1)  # x^3 + 1
-    g = MonicIntPolynomial(3, (1, 3, 1))
-    assert reduce_mod_p(g, 3).coeffs == (1, 0, 1, 1)  # x^3 + x^2 + 1
-    h = MonicIntPolynomial(2, (1, 0))
-    assert reduce_mod_p(h, 5).coeffs == (1, 0, 1)
-
-
-def test_reduce_mod_p_rejects_composite():
-    with pytest.raises(ValueError, match="not prime"):
-        reduce_mod_p(MonicIntPolynomial(2, (1, 0)), 6)
+def test_tester_reduces_integer_coefficients():
+    # The predicate takes a_0, ..., a_{n-1} of a monic integer polynomial.
+    assert not irreducibility_tester(2, 3)((1, 2, 2))  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    assert not irreducibility_tester(3, 3)((1, 3, 1))  # x^3 + x^2 + 1, root x = 1
+    assert not irreducibility_tester(5, 2)((1, 0))  # x^2 + 1, root x = 2
+    assert irreducibility_tester(2, 2)((-1, 3))  # x^2 + x + 1
+    # 191^2 > TABLE_LIMIT, so Rabin's test answers: x^2 - 190 = x^2 + 1 mod 191,
+    # and -1 is no square mod a prime = 3 mod 4.
+    assert irreducibility_tester(191, 2)((-190, 0))
 
 
 @given(
-    p=st.sampled_from([2, 3, 5, 7, 11]),
+    p=st.sampled_from([2, 3, 5, 7, 11, 191]),
     coeffs=st.lists(st.integers(-30, 30), min_size=1, max_size=6),
 )
-@settings(max_examples=200)
-def test_reduce_preserves_degree_of_monic(p, coeffs):
-    f = MonicIntPolynomial(len(coeffs), tuple(coeffs))
-    assert reduce_mod_p(f, p).degree == f.degree
+@settings(max_examples=200, deadline=None)
+def test_tester_agrees_with_rabin_on_integer_coefficients(p, coeffs):
+    # Tables answer while p^degree <= TABLE_LIMIT, Rabin's test past it.
+    expected = _is_irreducible_raw([c % p for c in coeffs] + [1], p)
+    assert irreducibility_tester(p, len(coeffs))(coeffs) == expected
 
 
 def test_arithmetic_anchors():
-    assert fp_gcd(FP(2, [1, 0, 1]), FP(2, [1, 1])).coeffs == (1, 1)  # x^2+1 = (x+1)^2
-    x3 = FP(3, [0, 1])
-    assert fp_mod(fp_mul(x3, x3), FP(3, [1, 0, 1])).coeffs == (2,)  # x^2 = -1
-    assert fp_powmod(FP(2, [0, 1]), 4, FP(2, [1, 1, 1])).coeffs == (0, 1)  # x^4 = x
+    assert _gcd([1, 0, 1], [1, 1], 2) == [1, 1]  # x^2+1 = (x+1)^2
+    assert _mod(_mul([0, 1], [0, 1], 3), [1, 0, 1], 3) == [2]  # x^2 = -1
+    assert _powmod([0, 1], 4, [1, 1, 1], 2) == [0, 1]  # x^4 = x
 
 
 def test_divmod_reconstructs():
-    f = FP(5, [3, 1, 4, 1, 1])
-    g = FP(5, [2, 3, 1])
-    q, r = fp_divmod(f, g)
-    back = fp_mul(q, g)
-    total = [0] * max(len(back.coeffs), len(r.coeffs))
-    for i, c in enumerate(back.coeffs):
+    f = [3, 1, 4, 1, 1]
+    g = [2, 3, 1]
+    q, r = _divmod(f, g, 5)
+    back = _mul(q, g, 5)
+    total = [0] * max(len(back), len(r))
+    for i, c in enumerate(back):
         total[i] += c
-    for i, c in enumerate(r.coeffs):
+    for i, c in enumerate(r):
         total[i] += c
-    assert FP(5, total).coeffs == f.coeffs
-    assert r.degree < g.degree
+    assert [c % 5 for c in total] == f
+    assert len(r) < len(g)
 
 
 def test_zero_divisor():
-    zero = FP(3, [])
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        fp_mod(FP(3, [1, 1]), zero)
+        _mod([1, 1], [], 3)
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        fp_powmod(FP(3, [0, 1]), 5, zero)
-
-
-def test_mismatched_moduli():
-    with pytest.raises(ValueError, match="mismatched moduli"):
-        fp_mul(FP(2, [1, 1]), FP(3, [1, 1]))
+        _powmod([0, 1], 5, [], 3)
 
 
 def test_irreducibility_anchors():
-    assert is_irreducible_mod_p(FP(2, [1, 1, 1]))
-    assert not is_irreducible_mod_p(FP(2, [1, 0, 1]))
-    assert is_irreducible_mod_p(FP(3, [1, 2, 0, 1]))
-    assert not is_irreducible_mod_p(FP(5, [1, 0, 1]))  # 2^2+1 = 5
-    assert is_irreducible_mod_p(FP(7, [3, 1]))  # linear
+    assert _is_irreducible_raw([1, 1, 1], 2)
+    assert not _is_irreducible_raw([1, 0, 1], 2)
+    assert _is_irreducible_raw([1, 2, 0, 1], 3)
+    assert not _is_irreducible_raw([1, 0, 1], 5)  # 2^2+1 = 5
+    assert _is_irreducible_raw([3, 1], 7)  # linear
 
 
 def test_rabin_agrees_with_trial_division_exhaustively():
@@ -136,11 +107,8 @@ def test_rabin_agrees_with_trial_division_exhaustively():
     for p, max_n in grids:
         for n in range(1, max_n + 1):
             for tail in itertools.product(range(p), repeat=n):
-                f = PrimeFieldPolynomial(p, tuple(tail) + (1,))
-                assert is_irreducible_mod_p(f) == is_irreducible_trial_division(f), (
-                    p,
-                    f.coeffs,
-                )
+                f = list(tail) + [1]
+                assert _is_irreducible_raw(f, p) == is_irreducible_trial_division(f, p), (p, f)
 
 
 def test_irreducible_table_matches_rabin_entry_by_entry():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admissible.finite_field import is_irreducible_mod_p, reduce_mod_p
 from admissible.integer_irreducibility import (
     PROBE_PRIMES,
     FactorizationWitness,
@@ -13,7 +12,11 @@ from admissible.integer_irreducibility import (
 )
 from admissible.polynomials import MonicIntPolynomial, count_admissible_exact
 
-from oracles import multiply_monic, oracle_is_irreducible_over_z
+from oracles import (
+    is_irreducible_trial_division,
+    multiply_monic,
+    oracle_is_irreducible_over_z,
+)
 
 
 def test_witness_anchors():
@@ -78,7 +81,7 @@ def test_quartic_agreement_with_factor_pair_oracle(coeffs):
 @settings(max_examples=150, deadline=None)
 def test_never_contradicts_mod_p_irreducibility(coeffs, p):
     f = MonicIntPolynomial(len(coeffs), tuple(coeffs))
-    if is_irreducible_mod_p(reduce_mod_p(f, p)):
+    if is_irreducible_trial_division([c % p for c in f.all_coefficients()], p):
         assert is_irreducible_over_z(f).irreducible
 
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from admissible import sieve
 from admissible.errors import FeasibilityError
 from admissible.integer_irreducibility import count_admissible_irreducible
-from admissible.polynomials import MonicIntPolynomial, enumerate_admissible
+from admissible.polynomials import MonicIntPolynomial, count_admissible_exact, enumerate_admissible
 from admissible.sieve import (
     TuranInstance,
     audit_chebyshev,
     build_admissible_instance,
     exact_sifted_count,
     pipeline_lower_bound,
-    prime_count,
     primes_below,
     sieve_level,
     turan_upper_bound,
@@ -33,7 +32,7 @@ def test_primes_below_anchors():
 
 def test_prime_count_vs_crosscheck():
     for z in (0, 1, 2, 3, 10, 100, 541, 1000, 7919):
-        assert prime_count(z) == count_primes_crosscheck(z), z
+        assert len(primes_below(z + 1)) == count_primes_crosscheck(z), z
 
 
 def test_turan_bound_hand_computed():
@@ -146,6 +145,27 @@ def test_exact_sifted_count_anchors():
     assert exact_sifted_count(enumerate_admissible(3, 6), 6) == 14
     assert exact_sifted_count(enumerate_admissible(3, 6), 10) == 11
     assert exact_sifted_count(iter(()), 7) == 0
+
+
+def test_exact_sifted_count_stops_at_the_first_irreducible_reduction(monkeypatch):
+    calls = 0
+    tester = sieve.irreducibility_tester
+
+    def counted_tester(p, degree):
+        test = tester(p, degree)
+
+        def counted(coeffs):
+            nonlocal calls
+            calls += 1
+            return test(coeffs)
+
+        return counted
+
+    monkeypatch.setattr(sieve, "irreducibility_tester", counted_tester)
+    n, h, z = 4, 12, 14  # primes 2, ..., 13; A_2 and A_3 are empty for quartics
+    sifted = exact_sifted_count(enumerate_admissible(n, h), z)
+    assert sifted == brute_sieve_counts(n, h, z)[2]
+    assert calls < count_admissible_exact(n, h) * len(primes_below(z))
 
 
 def test_sifted_count_nonincreasing_in_z():
