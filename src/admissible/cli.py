@@ -20,9 +20,8 @@ from fractions import Fraction
 from . import __version__
 from .errors import FeasibilityError
 from .finite_field import IrreducibleAuditRow, audit_irreducible_counts, is_prime
-from .integer_irreducibility import DEFAULT_SEARCH_LIMIT, admissible_witnesses
+from .integer_irreducibility import admissible_witnesses
 from .polynomials import (
-    DEFAULT_ENUM_LIMIT,
     BoundsAuditReport,
     MonicIntPolynomial,
     audit_bounds,
@@ -115,7 +114,7 @@ def cmd_count(args):
 
 def cmd_enumerate(args):
     n, h = args.degree, args.height
-    stream = enumerate_admissible(n, h, args.max_enum)
+    stream = enumerate_admissible(n, h)
     limit = args.limit
     emitted = 0
     writer = None
@@ -142,7 +141,7 @@ def cmd_enumerate(args):
 
 def cmd_irr_count(args):
     n, h = args.degree, args.height
-    pairs = list(admissible_witnesses(n, h, args.max_enum, args.max_search))
+    pairs = list(admissible_witnesses(n, h))
     witnesses = [{"polynomial": f, **_fields(w)} for f, w in pairs]
     results = {
         "ambient_count": count_admissible_exact(n, h),
@@ -154,8 +153,7 @@ def cmd_irr_count(args):
 
 
 def cmd_sieve(args):
-    report = pipeline_lower_bound(args.degree, args.height, args.z,
-                                  args.max_enum, args.max_search)
+    report = pipeline_lower_bound(args.degree, args.height, args.z)
     params = {"degree": args.degree, "height": args.height}
     if args.z is not None:
         params["z"] = args.z
@@ -224,14 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("json", "csv"), default="json"):
         p.add_argument("--format", choices=choices, default=default)
 
-    def add_limits(p, enum=False, search=False):
-        if enum:
-            p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_LIMIT,
-                           help=f"enumeration feasibility limit (default {DEFAULT_ENUM_LIMIT})")
-        if search:
-            p.add_argument("--max-search", type=int, default=DEFAULT_SEARCH_LIMIT,
-                           help=f"factor-search candidate limit (default {DEFAULT_SEARCH_LIMIT})")
-
     p = sub.add_parser("count", help="exact admissible count and claimed bounds")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -243,14 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--limit", type=_row_limit, default=None, help="stop after this many rows")
     add_format(p, choices=("jsonl", "csv"), default="jsonl")
-    add_limits(p, enum=True)
     p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("irr-count", help="irreducibility census with witnesses")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     add_format(p)
-    add_limits(p, enum=True, search=True)
     p.set_defaults(run=cmd_irr_count)
 
     p = sub.add_parser("sieve", help="run the sifting pipeline report")
@@ -258,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--z", type=int, default=None, help="override the sieve level")
     add_format(p)
-    add_limits(p, enum=True, search=True)
     p.set_defaults(run=cmd_sieve)
 
     p = sub.add_parser("fp-audit", help="irreducible counts over F_p vs p^n/n")

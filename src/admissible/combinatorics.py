@@ -29,8 +29,7 @@ class CompositionQuery:
         if self.target < 0:
             raise ValueError(f"target must be >= 0, got {self.target}")
         if self.cap < 0:
-            # "or None" is stale, but the `count --height -1` golden pins this text.
-            raise ValueError(f"cap must be >= 0 or None, got {self.cap}")
+            raise ValueError(f"cap must be >= 0, got {self.cap}")
 
 
 def _choose(n: int, k: int) -> int:

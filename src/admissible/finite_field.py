@@ -23,6 +23,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from .errors import FeasibilityError
+from .polynomials import check_degree
 
 # Largest p^degree for which a full irreducibility lookup table is built.
 TABLE_LIMIT = 32768
@@ -206,7 +207,9 @@ def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool
 
     The predicate takes (a_0, ..., a_{degree-1}) of a monic polynomial of
     the given degree.  It answers from `irreducible_table` when
-    p^degree <= TABLE_LIMIT and by Rabin's test otherwise.
+    p^degree <= TABLE_LIMIT and by Rabin's test otherwise.  Raises
+    ValueError ("not prime") on a composite p: Rabin's test would divide
+    by a non-unit and never end.
     """
     if p**degree <= TABLE_LIMIT:
         table = irreducible_table(p, degree)
@@ -218,6 +221,8 @@ def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool
             return table[idx]
 
         return lookup
+    if not is_prime(p):
+        raise ValueError(f"not prime: {p}")
 
     def direct(coeffs: Sequence[int]) -> bool:
         return _is_irreducible_raw([c % p for c in coeffs] + [1], p)
@@ -226,11 +231,15 @@ def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool
 
 
 def count_irreducibles_exact(degree: int, p: int) -> int:
-    """Number of monic irreducibles of one degree: (1/n) sum_{d|n} mu(d) p^(n/d)."""
+    """Number of monic irreducibles of one degree: (1/n) sum_{d|n} mu(d) p^(n/d).
+
+    Raises FeasibilityError ("degree too large") past DEGREE_LIMIT.
+    """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
+    check_degree(degree)
     total = sum(mobius(d) * p ** (degree // d) for d in range(1, degree + 1) if degree % d == 0)
     return total // degree
 

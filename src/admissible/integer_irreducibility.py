@@ -29,10 +29,13 @@ from typing import Iterator
 from .combinatorics import binomial
 from .errors import FeasibilityError
 from .finite_field import irreducibility_tester
-from .polynomials import DEFAULT_ENUM_LIMIT, MonicIntPolynomial, enumerate_admissible
+from .polynomials import MonicIntPolynomial, enumerate_admissible
 
 PROBE_PRIMES = (2, 3, 5, 7, 11, 13)
-DEFAULT_SEARCH_LIMIT = 10**9
+
+# Most candidate factors one Mignotte search may try; the candidates are
+# counted before the first one is divided out.
+SEARCH_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
@@ -94,13 +97,11 @@ def _irreducible_mod(f: MonicIntPolynomial, p: int) -> bool:
     return irreducibility_tester(p, f.degree)(f.coeffs)
 
 
-def is_irreducible_over_z(
-    f: MonicIntPolynomial, max_search: int = DEFAULT_SEARCH_LIMIT
-) -> FactorizationWitness:
+def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     """Exact irreducibility verdict over Z, with witness when reducible.
 
     Raises FeasibilityError ("search space exceeded") when the bounded
-    factor search would have to try more than `max_search` candidates;
+    factor search would have to try more than SEARCH_LIMIT candidates;
     it never returns a wrong answer.
     """
     n = f.degree
@@ -113,10 +114,10 @@ def is_irreducible_over_z(
     for p in PROBE_PRIMES:
         if _irreducible_mod(f, p):
             return FactorizationWitness("irreducible")
-    return _bounded_factor_search(f, max_search)
+    return _bounded_factor_search(f)
 
 
-def _bounded_factor_search(f: MonicIntPolynomial, max_search: int) -> FactorizationWitness:
+def _bounded_factor_search(f: MonicIntPolynomial) -> FactorizationWitness:
     n = f.degree
     full = list(f.all_coefficients())
     a0 = full[0]
@@ -133,9 +134,9 @@ def _bounded_factor_search(f: MonicIntPolynomial, max_search: int) -> Factorizat
         for b in bounds[1:]:
             count *= 2 * b + 1
         candidates += count
-        if candidates > max_search:
+        if candidates > SEARCH_LIMIT:
             raise FeasibilityError(
-                f"search space exceeded: {candidates} candidates exceed limit {max_search}"
+                f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
             )
         plans.append((m, bounds, divisors))
 
@@ -153,23 +154,13 @@ def _bounded_factor_search(f: MonicIntPolynomial, max_search: int) -> Factorizat
 
 
 def admissible_witnesses(
-    degree: int,
-    height: int,
-    max_enum: int = DEFAULT_ENUM_LIMIT,
-    max_search: int = DEFAULT_SEARCH_LIMIT,
+    degree: int, height: int
 ) -> Iterator[tuple[MonicIntPolynomial, FactorizationWitness]]:
     """Yield (f, verdict) for every admissible f, in enumeration order."""
-    for f in enumerate_admissible(degree, height, max_enum):
-        yield f, is_irreducible_over_z(f, max_search)
+    for f in enumerate_admissible(degree, height):
+        yield f, is_irreducible_over_z(f)
 
 
-def count_admissible_irreducible(
-    degree: int,
-    height: int,
-    max_enum: int = DEFAULT_ENUM_LIMIT,
-    max_search: int = DEFAULT_SEARCH_LIMIT,
-) -> int:
+def count_admissible_irreducible(degree: int, height: int) -> int:
     """Exact count of admissible polynomials irreducible over Z."""
-    return sum(
-        w.irreducible for _, w in admissible_witnesses(degree, height, max_enum, max_search)
-    )
+    return sum(w.irreducible for _, w in admissible_witnesses(degree, height))

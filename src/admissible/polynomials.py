@@ -17,12 +17,25 @@ from typing import Iterable, Iterator, Sequence
 from .combinatorics import CompositionQuery, binomial, count_bounded_compositions
 from .errors import FeasibilityError
 
-DEFAULT_ENUM_LIMIT = 50_000_000
+# Most polynomials one enumeration may yield; the exact count is checked
+# before the first one is built.
+ENUM_LIMIT = 50_000_000
+
+# Largest degree any census, audit or count accepts, checked before n! or
+# p^n is computed.  math.factorial(10**5) takes 0.17 s and 10**6 takes 9 s
+# on a 2 vCPU Intel Xeon with Python 3.11.
+DEGREE_LIMIT = 10**5
 
 # Most heights one bounds audit may report on.  Rows cost time and output
 # linearly (40,000 heights of degree 9 take about 2 s and 13 MB); the limit
 # still admits every full range [0, n!] up to degree 8 (40,321 heights).
 AUDIT_HEIGHT_LIMIT = 100_000
+
+
+def check_degree(degree: int) -> None:
+    """Raise FeasibilityError ("degree too large") past DEGREE_LIMIT."""
+    if degree > DEGREE_LIMIT:
+        raise FeasibilityError(f"degree too large: {degree} exceeds limit {DEGREE_LIMIT}")
 
 
 def poly_text(coeffs: Sequence[int]) -> str:
@@ -92,13 +105,18 @@ def is_admissible(coeffs_with_leading: Iterable[int]) -> bool:
     seq = tuple(coeffs_with_leading)
     if len(seq) < 2:
         raise ValueError("degree zero: need at least two coefficients")
+    check_degree(len(seq) - 1)
     return sum(seq) == math.factorial(len(seq) - 1)
 
 
 def target_sum(degree: int) -> int:
-    """degree! - 1, the required sum of the non-leading coefficients."""
+    """degree! - 1, the required sum of the non-leading coefficients.
+
+    Raises FeasibilityError ("degree too large") past DEGREE_LIMIT.
+    """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    check_degree(degree)
     return math.factorial(degree) - 1
 
 
@@ -131,21 +149,19 @@ def _bounded_vectors(parts: int, target: int, cap: int) -> Iterator[tuple[int, .
     return rec(0, target)
 
 
-def enumerate_admissible(
-    degree: int, height: int, max_enum: int = DEFAULT_ENUM_LIMIT
-) -> Iterator[MonicIntPolynomial]:
+def enumerate_admissible(degree: int, height: int) -> Iterator[MonicIntPolynomial]:
     """Yield every admissible polynomial of the given degree and height.
 
     Coefficient vectors (a_0, ..., a_{degree-1}) come out in strictly
     ascending lexicographic order, each exactly once.  Raises
     FeasibilityError ("enumeration too large") when the exact count
-    exceeds `max_enum`; the count is checked up front via the closed
+    exceeds ENUM_LIMIT; the count is checked up front via the closed
     form, so the check costs nothing.
     """
     total = count_admissible_exact(degree, height)
-    if total > max_enum:
+    if total > ENUM_LIMIT:
         raise FeasibilityError(
-            f"enumeration too large: {total} admissible polynomials exceed limit {max_enum}"
+            f"enumeration too large: {total} admissible polynomials exceed limit {ENUM_LIMIT}"
         )
     vectors = _bounded_vectors(degree, target_sum(degree), height)
     return (MonicIntPolynomial(degree, vec) for vec in vectors)
@@ -218,6 +234,7 @@ def audit_bounds(degree: int, height_range: tuple[int, int]) -> list[BoundsAudit
     """
     if degree < 3:
         raise ValueError(f"bounds audit requires degree >= 3, got {degree}")
+    check_degree(degree)
     lo, hi = height_range
     if not (0 <= lo <= hi <= math.factorial(degree)):
         raise ValueError(

@@ -18,10 +18,10 @@ from typing import Iterable
 
 from .errors import FeasibilityError
 from .finite_field import TABLE_LIMIT, irreducibility_tester
-from .integer_irreducibility import DEFAULT_SEARCH_LIMIT, count_admissible_irreducible
+from .integer_irreducibility import count_admissible_irreducible
 from .polynomials import (
-    DEFAULT_ENUM_LIMIT,
     MonicIntPolynomial,
+    check_degree,
     count_admissible_exact,
     enumerate_admissible,
 )
@@ -40,6 +40,9 @@ INSTANCE_PRIME_LIMIT = 500
 # One degree-4 test took 0.2 ms (p near 17) to 0.5 ms (p near 3,571) on
 # a 2 vCPU Intel Xeon with Python 3.11, so this is about 10 s at most.
 RABIN_TEST_LIMIT = 20_000
+
+# The Chebyshev audit's band for pi(z) * ln(z) / z, from z = 17 on.
+CHEBYSHEV_BAND = (0.9, 1.3)
 
 
 def _prime_flags(n: int) -> bytearray:
@@ -72,7 +75,7 @@ class ChebyshevSample:
 
 @dataclass(frozen=True)
 class ChebyshevAudit:
-    """pi(z) * ln(z) / z sampled and scanned against a fixed band.
+    """pi(z) * ln(z) / z sampled and scanned against CHEBYSHEV_BAND.
 
     `within_band` covers every integer z in [scan_start, z_max]; the
     ratios are floating point on purpose (they are reference magnitudes,
@@ -88,7 +91,7 @@ class ChebyshevAudit:
     band: tuple[float, float]
 
 
-def audit_chebyshev(z_max: int, band: tuple[float, float] = (0.9, 1.3)) -> ChebyshevAudit:
+def audit_chebyshev(z_max: int) -> ChebyshevAudit:
     """Scan pi(z) * ln(z) / z over [17, z_max] and sample a few checkpoints.
 
     The scan shares a single sieve pass with the running prime count, so
@@ -105,7 +108,7 @@ def audit_chebyshev(z_max: int, band: tuple[float, float] = (0.9, 1.3)) -> Cheby
         mark *= 10
 
     scan_start = 17
-    lo, hi = band
+    lo, hi = CHEBYSHEV_BAND
     samples = []
     ratio_min: float | None = None
     ratio_max: float | None = None
@@ -131,7 +134,7 @@ def audit_chebyshev(z_max: int, band: tuple[float, float] = (0.9, 1.3)) -> Cheby
         ratio_min=ratio_min,
         ratio_max=ratio_max,
         within_band=within,
-        band=band,
+        band=CHEBYSHEV_BAND,
     )
 
 
@@ -240,11 +243,11 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     return _membership_histogram(ambient, primes_below(z), first_hit=True).get(0, 0)
 
 
-def _sifting_problem(degree: int, height: int, z: int,
-                     max_enum: int) -> tuple[TuranInstance, dict[int, int]]:
+def _sifting_problem(degree: int, height: int, z: int) -> tuple[TuranInstance, dict[int, int]]:
     # The Turan instance at level z and the membership histogram it was read from.
     if degree < 2:
         raise ValueError(f"instance needs degree >= 2, got {degree}")
+    check_degree(degree)  # before p^degree below
     primes = primes_below(z)
     if len(primes) > INSTANCE_PRIME_LIMIT:
         raise FeasibilityError(f"sieve level too large: {len(primes)} primes below {z} "
@@ -255,7 +258,7 @@ def _sifting_problem(degree: int, height: int, z: int,
         if tests > RABIN_TEST_LIMIT:
             raise FeasibilityError(f"sieve work too large: {tests} Rabin tests for primes "
                                    f"without a table exceed limit {RABIN_TEST_LIMIT}")
-    histogram = _membership_histogram(enumerate_admissible(degree, height, max_enum), primes)
+    histogram = _membership_histogram(enumerate_admissible(degree, height), primes)
     pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i:]}
     for mask, count in histogram.items():
         hits = [p for i, p in enumerate(primes) if mask >> i & 1]
@@ -272,9 +275,7 @@ def _sifting_problem(degree: int, height: int, z: int,
     return instance, histogram
 
 
-def build_admissible_instance(
-    degree: int, height: int, z: int, max_enum: int = DEFAULT_ENUM_LIMIT
-) -> TuranInstance:
+def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance:
     """Materialize the sifting problem for the admissible set at level z.
 
     Densities are all 1/degree; member and pairwise counts are exact,
@@ -284,7 +285,7 @@ def build_admissible_instance(
     level too large") past INSTANCE_PRIME_LIMIT primes below z, and
     ("sieve work too large") past RABIN_TEST_LIMIT direct Rabin tests.
     """
-    return _sifting_problem(degree, height, z, max_enum)[0]
+    return _sifting_problem(degree, height, z)[0]
 
 
 def sieve_level(height: int) -> int:
@@ -341,11 +342,7 @@ class PipelineReport:
 
 
 def pipeline_lower_bound(
-    degree: int,
-    height: int,
-    z_override: int | None = None,
-    max_enum: int = DEFAULT_ENUM_LIMIT,
-    max_search: int = DEFAULT_SEARCH_LIMIT,
+    degree: int, height: int, z_override: int | None = None
 ) -> PipelineReport:
     """Run the full sifting pipeline and check its two guaranteed inequalities.
 
@@ -363,11 +360,11 @@ def pipeline_lower_bound(
     if z is None:
         z = sieve_level(height) if height >= 2 else 1
 
-    instance, histogram = _sifting_problem(degree, height, z, max_enum)
+    instance, histogram = _sifting_problem(degree, height, z)
     sifted = histogram.get(0, 0)
     ambient_count = count_admissible_exact(degree, height)
     bound = turan_upper_bound(instance) if instance.primes else None
-    irreducible = count_admissible_irreducible(degree, height, max_enum, max_search)
+    irreducible = count_admissible_irreducible(degree, height)
 
     turan_holds = None if bound is None else Fraction(sifted) <= bound
     chain_holds = irreducible >= ambient_count - sifted

@@ -178,15 +178,26 @@ def test_usage_errors_exit_2(run_cli):
     assert json.loads(proc.stderr)["kind"] == "usage"
     assert proc.stdout == b""
 
+    # The enumeration and search limits are constants, not flags.
+    for flag in ("--max-enum", "--max-search"):
+        proc = run_cli("irr-count", "--degree", "3", "--height", "2", flag, "1", expect_code=2)
+        assert json.loads(proc.stderr)["kind"] == "usage"
+
 
 def test_feasibility_errors_exit_3(run_cli):
-    proc = run_cli(
-        "enumerate", "--degree", "5", "--height", "120", "--max-enum", "100",
-        expect_code=3,
-    )
-    err = json.loads(proc.stderr)
-    assert err["kind"] == "feasibility"
-    assert "enumeration too large" in err["message"]
+    for argv, message in (
+        # N(200) for sextics is 131,035,104,180, past ENUM_LIMIT.
+        (["enumerate", "--degree", "6", "--height", "200"], "enumeration too large"),
+        (["irr-count", "--degree", "6", "--height", "200"], "enumeration too large"),
+        (["sieve", "--degree", "6", "--height", "200", "--z", "4"], "enumeration too large"),
+        # The first septic of height 720 needs 1,745,133,540 candidates.
+        (["irr-count", "--degree", "7", "--height", "720"], "search space exceeded"),
+    ):
+        proc = run_cli(*argv, expect_code=3)
+        assert proc.stdout == b""
+        err = json.loads(proc.stderr)
+        assert err["kind"] == "feasibility"
+        assert err["message"].startswith(message)
 
 
 def test_oversized_report_exits_3_with_empty_stdout(run_cli):
@@ -226,6 +237,14 @@ def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
         (["sieve", "--degree", "4", "--height", "24", "--z", "3572"], "sieve work too large"),
         (["bounds-audit", "--degree", "9", "--h-min", "0", "--h-max", "362880"],
          "audit too large"),
+        # math.factorial(10**6) alone takes about 9 s; the degree limit fires first.
+        (["count", "--degree", "1000000", "--height", "1"], "degree too large"),
+        (["enumerate", "--degree", "1000000", "--height", "1"], "degree too large"),
+        (["irr-count", "--degree", "1000000", "--height", "1"], "degree too large"),
+        (["sieve", "--degree", "1000000", "--height", "1"], "degree too large"),
+        (["bounds-audit", "--degree", "1000000", "--h-min", "0", "--h-max", "1"],
+         "degree too large"),
+        (["fp-audit", "--degree", "1000000", "--primes", "31"], "degree too large"),
     ):
         start = time.monotonic()
         proc = run_cli(*argv, expect_code=3)

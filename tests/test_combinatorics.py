@@ -110,6 +110,11 @@ def test_query_validation(parts, target, cap):
         CompositionQuery(parts, target, cap)
 
 
+def test_query_cap_message():
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        CompositionQuery(3, 5, -1)
+
+
 def test_query_cap_is_required():
     with pytest.raises(TypeError):
         CompositionQuery(4, 9)

@@ -148,6 +148,17 @@ def test_irreducible_table_preconditions():
         irreducible_table(5, 0)
 
 
+def test_tester_rejects_a_composite_modulus_at_once():
+    # 200^2 > TABLE_LIMIT, so the Rabin branch would answer, and its gcd
+    # never ends over Z/200.  4^2 fits a table, which rejects 4 itself.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not prime: 200"):
+        irreducibility_tester(200, 2)
+    with pytest.raises(ValueError, match="not prime: 4"):
+        irreducibility_tester(4, 2)
+    assert time.perf_counter() - start < 1
+
+
 def test_count_anchors():
     assert count_irreducibles_exact(2, 2) == 1
     assert count_irreducibles_exact(2, 3) == 3
@@ -199,6 +210,15 @@ def test_audit_tracks_worst_row():
         r.sq_normalized_error for r in audit.rows
     )
     assert audit.within_sqrt_scale
+
+
+def test_counts_stop_at_the_degree_limit():
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError, match="degree too large: 1000000 exceeds limit"):
+        count_irreducibles_exact(10**6, 31)
+    with pytest.raises(FeasibilityError, match="degree too large: 1000000 exceeds limit"):
+        audit_irreducible_counts(10**6, [2, 31])
+    assert time.perf_counter() - start < 1
 
 
 def test_audit_preconditions():

@@ -67,11 +67,18 @@ CASES = [
     "chebyshev --z-max 2",
     "bounds-audit --degree 2 --h-min 0 --h-max 1",
     "bounds-audit --degree 3 --h-min 0 --h-max 7",
+    "irr-count --degree 3 --height 2 --max-search 1",  # limits are constants, not flags
     # feasibility limits: exit 3
-    "enumerate --degree 5 --height 120 --max-enum 100",
-    "irr-count --degree 4 --height 24 --max-enum 10",
-    "irr-count --degree 3 --height 2 --max-search 1",
-    "sieve --degree 3 --height 6 --max-enum 5",
+    "enumerate --degree 6 --height 200",
+    "irr-count --degree 6 --height 200",
+    "sieve --degree 6 --height 200 --z 4",
+    "irr-count --degree 7 --height 720",
+    "count --degree 100001 --height 1",
+    "enumerate --degree 100001 --height 1",
+    "irr-count --degree 100001 --height 1",
+    "sieve --degree 100001 --height 1",
+    "fp-audit --degree 100001 --primes 2",
+    "bounds-audit --degree 100001 --h-min 0 --h-max 1",
     "sieve --degree 3 --height 6 --z 100000",
     "sieve --degree 3 --height 1000000000000",
     "sieve --degree 4 --height 24 --z 3572",

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible import integer_irreducibility
+from admissible.errors import FeasibilityError
 from admissible.integer_irreducibility import (
     PROBE_PRIMES,
     FactorizationWitness,
@@ -95,6 +97,17 @@ def test_count_admissible_irreducible_anchors():
 def test_count_bounded_by_census():
     for h in range(0, 7):
         assert count_admissible_irreducible(3, h) <= count_admissible_exact(3, h)
+
+
+def test_search_limit_is_inclusive(monkeypatch):
+    # (x + 1)(x^2 + x + 1): reducible mod every probe prime, and the search
+    # has two candidates, x - 1 and x + 1 (a_0 = 1, one linear factor).
+    f = MonicIntPolynomial(3, (1, 2, 2))
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 2)
+    assert is_irreducible_over_z(f).factors[0].text() == "x + 1"
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 1)
+    with pytest.raises(FeasibilityError, match="search space exceeded: 2 candidates exceed limit 1"):
+        is_irreducible_over_z(f)
 
 
 def test_witness_type_validation():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,8 +102,44 @@ def test_count_agrees_with_enumeration_oracle(h):
 
 
 def test_enumeration_limit():
-    with pytest.raises(FeasibilityError, match="enumeration too large"):
-        enumerate_admissible(5, 120, max_enum=1000)
+    # N(200) for sextics is 131,035,104,180, past ENUM_LIMIT.
+    with pytest.raises(FeasibilityError, match="enumeration too large: 131035104180 "):
+        enumerate_admissible(6, 200)
+
+
+def test_enumeration_limit_is_inclusive(monkeypatch):
+    total = count_admissible_exact(3, 6)
+    monkeypatch.setattr(polynomials, "ENUM_LIMIT", total)
+    assert len(list(enumerate_admissible(3, 6))) == total
+    monkeypatch.setattr(polynomials, "ENUM_LIMIT", total - 1)
+    message = f"enumeration too large: {total} admissible polynomials exceed limit {total - 1}"
+    with pytest.raises(FeasibilityError, match=message):
+        enumerate_admissible(3, 6)
+
+
+def test_degree_limit_is_checked_before_any_factorial():
+    start = time.perf_counter()
+    for call in (
+        lambda: target_sum(10**6),
+        lambda: count_admissible_exact(10**6, 1),
+        lambda: enumerate_admissible(10**6, 1),
+        lambda: audit_bounds(10**6, (0, 1)),
+        lambda: is_admissible([0] * 10**6 + [1]),
+    ):
+        with pytest.raises(FeasibilityError, match="degree too large: 1000000 exceeds limit"):
+            call()
+    assert time.perf_counter() - start < 1
+
+
+def test_degree_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(polynomials, "DEGREE_LIMIT", 4)
+    assert target_sum(4) == 23
+    assert is_admissible((1, 0, 0, 22, 1))
+    assert len(audit_bounds(4, (0, 2))) == 3
+    for call in (lambda: target_sum(5), lambda: audit_bounds(5, (0, 1)),
+                 lambda: is_admissible((0,) * 5 + (1,))):
+        with pytest.raises(FeasibilityError, match="degree too large: 5 exceeds limit 4"):
+            call()
 
 
 def test_claimed_bound_anchors():

@@ -18,8 +18,12 @@ ORACLE_NAMES = (
 
 # Deleted because nothing in the package or the CLI called them: a second
 # F_p representation (with its wrappers), the unbounded composition counts
-# and pi(z), which is len(primes_below(z + 1)).
+# and pi(z), which is len(primes_below(z + 1)); and the defaults of the
+# enumeration and search limits, now the constants ENUM_LIMIT and
+# SEARCH_LIMIT.
 DELETED_NAMES = (
+    "DEFAULT_ENUM_LIMIT",
+    "DEFAULT_SEARCH_LIMIT",
     "PrimeFieldPolynomial",
     "_same_modulus",
     "count_nonneg_compositions",

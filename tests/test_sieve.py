@@ -229,9 +229,29 @@ def test_chebyshev_audit():
     assert by_z[1000].prime_count == 168
     assert by_z[100].ratio == pytest.approx(25 * 4.605170185988092 / 100)
     assert audit.within_band
+    assert audit.band == sieve.CHEBYSHEV_BAND == (0.9, 1.3)
     assert 0.9 <= audit.ratio_min <= audit.ratio_max <= 1.3
     with pytest.raises(ValueError):
         audit_chebyshev(2)
+
+
+def test_chebyshev_band_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(sieve, "CHEBYSHEV_BAND", (1.2, 1.3))
+    audit = audit_chebyshev(2000)
+    assert audit.band == (1.2, 1.3)
+    assert audit.ratio_min < 1.2 and not audit.within_band
+
+
+def test_degree_limit_is_checked_before_any_prime_power():
+    # Without the check, p^degree for the 25 primes below 100 runs for minutes.
+    start = time.perf_counter()
+    for call in (
+        lambda: build_admissible_instance(10**7, 5, 100),
+        lambda: pipeline_lower_bound(10**7, 5, 100),
+    ):
+        with pytest.raises(FeasibilityError, match="degree too large: 10000000 exceeds limit"):
+            call()
+    assert time.perf_counter() - start < 1
 
 
 def test_sieve_limit_bounds_the_largest_integer_sieved(monkeypatch):
