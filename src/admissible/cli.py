@@ -4,7 +4,11 @@ All commands are batch-style and deterministic: identical flags produce
 byte-identical output (stable key order, no timestamps).  JSON is the
 default format; exact rationals serialize as {"num": ..., "den": ...}
 objects so nothing ever passes through floating point on the exact
-paths.  Exit codes: 0 success, 2 usage error, 3 feasibility-limit hit.
+paths.  Each subcommand is declared once in `build_parser`, and a JSON
+report's `parameters` are the parsed flags themselves, minus `--format`
+and any optional flag left out.  Primality and every feasibility limit
+are checked by the library, not here.  Exit codes: 0 success, 2 usage
+error, 3 feasibility-limit hit.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import fields
@@ -19,18 +24,22 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import FeasibilityError
-from .finite_field import IrreducibleAuditRow, audit_irreducible_counts, is_prime
+from .finite_field import IrreducibleAuditRow, audit_irreducible_counts
 from .integer_irreducibility import admissible_witnesses
 from .polynomials import (
     BoundsAuditReport,
     MonicIntPolynomial,
     audit_bounds,
     bounds_report,
-    count_admissible_exact,
+    check_degree,
     enumerate_admissible,
     target_sum,
 )
 from .sieve import ChebyshevSample, audit_chebyshev, pipeline_lower_bound, primes_below
+
+
+# Python refuses to print integers past its int-to-str digit limit.
+_TOO_LARGE = "report too large: an integer exceeds the int-to-str digit limit"
 
 
 def _error(code: int, kind: str, message: str):
@@ -76,11 +85,12 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(args, command, parameters, results, exact, rows, columns):
+def _emit(args, results, exact, rows, columns):
     """Write `results` as a JSON envelope, or `rows` (dataclasses or dicts) as CSV.
 
-    The whole report is rendered before anything is written, so a failure
-    leaves stdout empty.
+    The envelope's `parameters` are the flags given, as parsed.  The whole
+    report is rendered before anything is written, so a failure leaves
+    stdout empty.
     """
     try:
         if args.format == "csv":
@@ -92,12 +102,13 @@ def _emit(args, command, parameters, results, exact, rows, columns):
                 writer.writerow([_csv_cell(record[c]) for c in columns])
             text = out.getvalue()
         else:
-            envelope = dict(command=command, exact=exact, parameters=parameters,
+            parameters = {k: v for k, v in vars(args).items()
+                          if k not in ("command", "format", "run") and v is not None}
+            envelope = dict(command=args.command, exact=exact, parameters=parameters,
                             results=results, toolkit_version=__version__)
             text = json.dumps(envelope, indent=2, sort_keys=True, default=_json_value) + "\n"
     except ValueError:
-        # Python refuses to print integers past its int-to-str digit limit.
-        raise FeasibilityError("report too large: an integer exceeds the int-to-str digit limit")
+        raise FeasibilityError(_TOO_LARGE)
     sys.stdout.write(text)
 
 
@@ -105,86 +116,78 @@ def _emit(args, command, parameters, results, exact, rows, columns):
 
 
 def cmd_count(args):
-    n, h = args.degree, args.height
-    report = bounds_report(n, h)
-    results = {**_fields(report, "degree", "height"), "target_sum": target_sum(n)}
-    _emit(args, "count", {"degree": n, "height": h}, results, True,
-          [report], _columns(BoundsAuditReport))
+    report = bounds_report(args.degree, args.height)
+    results = {**_fields(report, "degree", "height"), "target_sum": target_sum(args.degree)}
+    _emit(args, results, True, [report], _columns(BoundsAuditReport))
 
 
 def cmd_enumerate(args):
-    n, h = args.degree, args.height
-    stream = enumerate_admissible(n, h)
-    limit = args.limit
-    emitted = 0
+    stream = enumerate_admissible(args.degree, args.height)
     writer = None
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["degree"] + [f"a{i}" for i in range(n)])
-    truncated = False
-    for f in stream:
-        if limit is not None and emitted >= limit:
-            truncated = True
-            break
+        writer.writerow(["degree"] + [f"a{i}" for i in range(args.degree)])
+    for f in itertools.islice(stream, args.limit):
         if writer is not None:
             writer.writerow([f.degree, *f.coeffs])
         else:
             sys.stdout.write(json.dumps(f.as_json_dict(), sort_keys=True) + "\n")
-        emitted += 1
-    if truncated:
+    if next(stream, None) is not None:  # a row past the limit
         if writer is not None:
             sys.stdout.write("# truncated\n")
         else:
-            sys.stdout.write(json.dumps({"emitted": emitted, "truncated": True},
+            sys.stdout.write(json.dumps({"emitted": args.limit, "truncated": True},
                                         sort_keys=True) + "\n")
 
 
 def cmd_irr_count(args):
-    n, h = args.degree, args.height
-    pairs = list(admissible_witnesses(n, h))
+    pairs = list(admissible_witnesses(args.degree, args.height))
     witnesses = [{"polynomial": f, **_fields(w)} for f, w in pairs]
     results = {
-        "ambient_count": count_admissible_exact(n, h),
+        "ambient_count": len(pairs),
         "irreducible_count": sum(w.irreducible for _, w in pairs),
         "witnesses": witnesses,
     }
-    _emit(args, "irr-count", {"degree": n, "height": h}, results, True,
-          witnesses, ["polynomial", "status", "factors"])
+    _emit(args, results, True, witnesses, ["polynomial", "status", "factors"])
 
 
 def cmd_sieve(args):
     report = pipeline_lower_bound(args.degree, args.height, args.z)
-    params = {"degree": args.degree, "height": args.height}
-    if args.z is not None:
-        params["z"] = args.z
     columns = ["degree", "height", "z", "ambient_count", "sifted_exact", "turan_bound",
                "irreducible_count", "turan_inequality_holds", "chain_inequality_holds"]
-    _emit(args, "sieve", params, _fields(report, "degree", "height"), False, [report], columns)
+    _emit(args, _fields(report, "degree", "height"), False, [report], columns)
 
 
 def cmd_fp_audit(args):
-    audit = audit_irreducible_counts(args.degree, args.primes)
-    _emit(args, "fp-audit", {"degree": args.degree, "primes": args.primes}, audit, True,
-          audit.rows, _columns(IrreducibleAuditRow))
+    n, digits = args.degree, sys.get_int_max_str_digits()
+    check_degree(n)
+    if digits and n > 1:
+        # Every format prints main_term, whose numerator is at least p^n/n, so
+        # refuse before the audit's Fraction arithmetic when p^n // n >= 10^digits.
+        # The bit-length test settles large p^n without computing it.
+        floor = n * 10**digits
+        if any((p.bit_length() - 1) * n >= floor.bit_length() or p**n >= floor
+               for p in args.primes):
+            raise FeasibilityError(_TOO_LARGE)
+    audit = audit_irreducible_counts(n, args.primes)
+    _emit(args, audit, True, audit.rows, _columns(IrreducibleAuditRow))
 
 
 def cmd_primes(args):
     ps = primes_below(args.below)
     results = {"below": args.below, "count": len(ps), "primes": ps}
-    _emit(args, "primes", {"below": args.below}, results, True, [{"p": p} for p in ps], ["p"])
+    _emit(args, results, True, [{"p": p} for p in ps], ["p"])
 
 
 def cmd_chebyshev(args):
     audit = audit_chebyshev(args.z_max)
-    _emit(args, "chebyshev", {"z_max": args.z_max}, audit, False,
-          audit.samples, _columns(ChebyshevSample))
+    _emit(args, audit, False, audit.samples, _columns(ChebyshevSample))
 
 
 def cmd_bounds_audit(args):
     reports = audit_bounds(args.degree, (args.h_min, args.h_max))
     results = {"reports": [_fields(r, "degree") for r in reports]}
-    _emit(args, "bounds-audit", {"degree": args.degree, "h_max": args.h_max, "h_min": args.h_min},
-          results, True, reports, _columns(BoundsAuditReport))
+    _emit(args, results, True, reports, _columns(BoundsAuditReport))
 
 
 # --- parser ----------------------------------------------------------------
@@ -197,9 +200,6 @@ def _parse_primes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not primes:
         raise argparse.ArgumentTypeError("expected at least one prime")
-    for p in primes:
-        if not is_prime(p):
-            raise argparse.ArgumentTypeError(f"not prime: {p}")
     return primes
 
 
@@ -219,59 +219,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_format(p, choices=("json", "csv"), default="json"):
-        p.add_argument("--format", choices=choices, default=default)
+    def command(name, help, run, *int_flags, formats=("json", "csv")):
+        # One subcommand: its required integer flags, --format and its handler.
+        p = sub.add_parser(name, help=help)
+        for flag in int_flags:
+            p.add_argument(flag, type=int, required=True)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("count", help="exact admissible count and claimed bounds")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    add_format(p)
-    p.set_defaults(run=cmd_count)
-
-    p = sub.add_parser("enumerate", help="stream the admissible polynomials in lex order")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--limit", type=_row_limit, default=None, help="stop after this many rows")
-    add_format(p, choices=("jsonl", "csv"), default="jsonl")
-    p.set_defaults(run=cmd_enumerate)
-
-    p = sub.add_parser("irr-count", help="irreducibility census with witnesses")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    add_format(p)
-    p.set_defaults(run=cmd_irr_count)
-
-    p = sub.add_parser("sieve", help="run the sifting pipeline report")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--z", type=int, default=None, help="override the sieve level")
-    add_format(p)
-    p.set_defaults(run=cmd_sieve)
-
-    p = sub.add_parser("fp-audit", help="irreducible counts over F_p vs p^n/n")
-    p.add_argument("--degree", type=int, required=True)
+    command("count", "exact admissible count and claimed bounds", cmd_count,
+            "--degree", "--height")
+    p = command("enumerate", "stream the admissible polynomials in lex order", cmd_enumerate,
+                "--degree", "--height", formats=("jsonl", "csv"))
+    p.add_argument("--limit", type=_row_limit, help="stop after this many rows")
+    command("irr-count", "irreducibility census with witnesses", cmd_irr_count,
+            "--degree", "--height")
+    p = command("sieve", "run the sifting pipeline report", cmd_sieve, "--degree", "--height")
+    p.add_argument("--z", type=int, help="override the sieve level")
+    p = command("fp-audit", "irreducible counts over F_p vs p^n/n", cmd_fp_audit, "--degree")
     p.add_argument("--primes", type=_parse_primes, required=True,
                    help="comma-separated primes, e.g. 2,3,5,7")
-    add_format(p)
-    p.set_defaults(run=cmd_fp_audit)
-
-    p = sub.add_parser("primes", help="primes strictly below a bound")
-    p.add_argument("--below", type=int, required=True)
-    add_format(p)
-    p.set_defaults(run=cmd_primes)
-
-    p = sub.add_parser("chebyshev", help="prime-count ratio audit")
-    p.add_argument("--z-max", type=int, required=True)
-    add_format(p)
-    p.set_defaults(run=cmd_chebyshev)
-
-    p = sub.add_parser("bounds-audit", help="claimed bounds vs exact counts over a height range")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--h-min", type=int, required=True)
-    p.add_argument("--h-max", type=int, required=True)
-    add_format(p)
-    p.set_defaults(run=cmd_bounds_audit)
-
+    command("primes", "primes strictly below a bound", cmd_primes, "--below")
+    command("chebyshev", "prime-count ratio audit", cmd_chebyshev, "--z-max")
+    command("bounds-audit", "claimed bounds vs exact counts over a height range",
+            cmd_bounds_audit, "--degree", "--h-min", "--h-max")
     return parser
 
 

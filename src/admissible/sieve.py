@@ -349,8 +349,10 @@ def pipeline_lower_bound(
     S_exact <= turan bound (when the bound exists) and
     A >= N - S_exact always: a monic factorization over Z reduces to a
     factorization of the same degree split mod every prime, so every
-    reducible polynomial survives the sifting.  Violations raise
-    RuntimeError because they can only be implementation bugs.
+    reducible polynomial survives the sifting.  The closed-form N(H)
+    behind the remainders must also equal the enumerated ambient size
+    behind the bound.  Violations raise RuntimeError because they can
+    only be implementation bugs.
     """
     if degree < 3:
         raise ValueError(f"pipeline requires degree >= 3, got {degree}")
@@ -368,6 +370,8 @@ def pipeline_lower_bound(
 
     turan_holds = None if bound is None else Fraction(sifted) <= bound
     chain_holds = irreducible >= ambient_count - sifted
+    if ambient_count != instance.ambient_size:
+        raise RuntimeError("closed-form and enumerated N(H) differ; this is a bug")
     if turan_holds is False:
         raise RuntimeError("Turan inequality violated; this is a bug")
     if not chain_holds:

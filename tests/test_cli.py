@@ -1,7 +1,13 @@
 import csv
 import io
 import json
+import sys
 import time
+
+import pytest
+
+from admissible import cli
+from admissible.finite_field import audit_irreducible_counts
 
 
 def test_count_payload(run_cli):
@@ -245,6 +251,12 @@ def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
         (["bounds-audit", "--degree", "1000000", "--h-min", "0", "--h-max", "1"],
          "degree too large"),
         (["fp-audit", "--degree", "1000000", "--primes", "31"], "degree too large"),
+        # Trial division to sqrt(p) would take hours; the modulus limit fires first.
+        (["fp-audit", "--degree", "2", "--primes", "1000000000000000003"], "modulus too large"),
+        # main_term's numerator 9973^100000 / 100000 has 399,870 digits.
+        (["fp-audit", "--degree", "100000", "--primes", "9973"], "report too large"),
+        # p^n would have 10^7 digits (10 s to compute); its bit length settles it.
+        (["fp-audit", "--degree", "100000", "--primes", str(10**100 + 1)], "report too large"),
     ):
         start = time.monotonic()
         proc = run_cli(*argv, expect_code=3)
@@ -255,6 +267,44 @@ def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
         err = json.loads(lines[0])
         assert err["kind"] == "feasibility"
         assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fp_audit_size_check_changes_no_outcome(capsys, p):
+    # Around the degree where p^n // n reaches 10^digits, the up-front check
+    # must leave the outcome as it is without it: the report, or exit 3.
+    digits = sys.get_int_max_str_digits()
+    edge = next(n for n in range(2, 20_000) if p**n // n >= 10**digits)
+    for n in (2, *range(edge - 60, edge + 2)):  # the last printable n is edge - 16 (p=2)
+        audit = audit_irreducible_counts(n, [p])
+        try:
+            json.dumps(audit, default=cli._json_value)
+            expected = 0
+        except ValueError:
+            expected = 3
+        try:
+            code = cli.main(["fp-audit", "--degree", str(n), "--primes", str(p)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected, n
+        assert (capsys.readouterr().out != "") == (expected == 0)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("count", ["--degree", "--height", "--format"]),
+    ("enumerate", ["--degree", "--height", "--limit", "--format"]),
+    ("irr-count", ["--degree", "--height", "--format"]),
+    ("sieve", ["--degree", "--height", "--z", "--format"]),
+    ("fp-audit", ["--degree", "--primes", "--format"]),
+    ("primes", ["--below", "--format"]),
+    ("chebyshev", ["--z-max", "--format"]),
+    ("bounds-audit", ["--degree", "--h-min", "--h-max", "--format"]),
+])
+def test_every_subcommand_has_help(run_cli, command, flags):
+    out = run_cli(command, "--help").stdout.decode()
+    assert out.startswith(f"usage: admissible {command} ")
+    for flag in flags:
+        assert flag in out
 
 
 def test_repeated_runs_are_byte_identical(run_cli):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from admissible import finite_field
 from admissible.errors import FeasibilityError
 from admissible.finite_field import (
+    MODULUS_LIMIT,
     TABLE_LIMIT,
     _divmod,
     _gcd,
@@ -38,6 +39,29 @@ def test_is_prime_agrees_with_the_sieve():
     start = time.perf_counter()
     assert is_prime(2 * 10**30) is False  # even: answered without trial division
     assert time.perf_counter() - start < 0.1
+
+
+def test_modulus_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(finite_field, "MODULUS_LIMIT", 101)
+    assert is_prime(101) is True
+    with pytest.raises(FeasibilityError, match="modulus too large: 103 exceeds limit 101"):
+        is_prime(103)
+    assert is_prime(104) is False  # even: answered before the limit
+
+
+def test_modulus_limit_is_checked_before_trial_division():
+    start = time.perf_counter()
+    assert is_prime(999999999989) is True  # the largest prime below the limit
+    assert MODULUS_LIMIT == 10**12
+    for call in (
+        lambda: is_prime(1000000000000000003),
+        lambda: count_irreducibles_exact(2, 1000000000000000003),
+        lambda: irreducibility_tester(1000000000000000003, 2),
+        lambda: audit_irreducible_counts(2, [3, 1000000000000000003]),
+    ):
+        with pytest.raises(FeasibilityError, match="modulus too large"):
+            call()
+    assert time.perf_counter() - start < 1
 
 
 def test_mobius_values():
@@ -219,6 +243,15 @@ def test_counts_stop_at_the_degree_limit():
     with pytest.raises(FeasibilityError, match="degree too large: 1000000 exceeds limit"):
         audit_irreducible_counts(10**6, [2, 31])
     assert time.perf_counter() - start < 1
+
+
+def test_audit_checks_every_prime_before_the_first_row(monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(finite_field, "IrreducibleAuditRow", no_row)
+    with pytest.raises(ValueError, match="not prime: 4"):
+        audit_irreducible_counts(2, [3, 4])
 
 
 def test_audit_preconditions():

@@ -6,6 +6,11 @@ order, number rendering or error text fails here.  After an intended
 output change, re-record and review the diff of the JSON file:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+To re-record only some cases, name their command lines; every other
+entry is kept byte for byte:
+
+    PYTHONPATH=src python tests/test_golden.py --record "primes --below 2" ...
 """
 
 import json
@@ -34,6 +39,9 @@ CASES = [
     *_both("enumerate --degree 3 --height 2"),
     *_both("enumerate --degree 3 --height 6 --limit 5"),
     *_both("enumerate --degree 3 --height 6 --limit 0"),
+    # N = 21: a limit of N or more writes no truncation marker
+    *_both("enumerate --degree 3 --height 6 --limit 21"),
+    *_both("enumerate --degree 3 --height 6 --limit 22"),
     "enumerate --degree 3 --height 1",
     "enumerate --degree 1 --height 0 --format jsonl",
     *_both("irr-count --degree 3 --height 2"),
@@ -83,6 +91,7 @@ CASES = [
     "sieve --degree 3 --height 1000000000000",
     "sieve --degree 4 --height 24 --z 3572",
     "bounds-audit --degree 9 --h-min 0 --h-max 362880",
+    "fp-audit --degree 2 --primes 1000000000000000003",
 ]
 
 
@@ -119,8 +128,10 @@ def test_golden_file_covers_exactly_the_cases(golden):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"] or not set(sys.argv[2:]) <= set(CASES):
         sys.exit(__doc__)
     GOLDEN_FILE.parent.mkdir(exist_ok=True)
-    recorded = {line: run(line) for line in CASES}
+    lines = sys.argv[2:] or CASES
+    recorded = json.loads(GOLDEN_FILE.read_text()) if sys.argv[2:] else {}
+    recorded.update({line: run(line) for line in lines})
     GOLDEN_FILE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

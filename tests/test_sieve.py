@@ -316,6 +316,15 @@ def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
     assert report.irreducible_count == count_admissible_irreducible(3, 6)
 
 
+def test_pipeline_compares_closed_form_and_enumerated_ambient_counts(monkeypatch):
+    def off_by_one(degree, height):
+        return count_admissible_exact(degree, height) + 1
+
+    monkeypatch.setattr(sieve, "count_admissible_exact", off_by_one)
+    with pytest.raises(RuntimeError, match="N\\(H\\) differ; this is a bug"):
+        pipeline_lower_bound(3, 6, z_override=4)
+
+
 def test_instance_prime_limit_is_checked_before_any_membership_test(monkeypatch):
     def no_tester(p, degree):
         raise AssertionError("a tester was built past the prime limit")
