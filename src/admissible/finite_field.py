@@ -8,9 +8,13 @@ Irreducibility of one polynomial is decided by Rabin's criterion.  When
 all p^n monic polynomials of a degree fit in a memoized lookup table,
 the table is built by striking out every product g*h with g monic
 irreducible of degree <= n/2, so the build runs no Rabin test at all.
-The exact count of monic irreducibles of each degree comes from the
-Gauss/Moebius formula, which the test suite compares against an
-exhaustive Rabin count and against the tables.
+Each struck-out entry stores the degrees of its monic divisors, read
+off the table of the cofactor h, and the irreducibility table is
+derived from it.  Past the table size, the divisor degrees come from a
+distinct-degree factorization.  The exact count of monic irreducibles
+of each degree comes from the Gauss/Moebius formula, which the test
+suite compares against an exhaustive Rabin count and against the
+tables.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import FeasibilityError
 from .polynomials import check_degree
@@ -32,6 +36,11 @@ TABLE_LIMIT = 32768
 # grows with sqrt(n): is_prime(999999999989) takes 0.08 s on a 2 vCPU
 # Intel Xeon with Python 3.11, and a prime near 10^18 a thousand times as long.
 MODULUS_LIMIT = 10**12
+
+# Most primes one count audit may take.  Each is checked by trial
+# division first, about 0.07 s for a prime near MODULUS_LIMIT, so the
+# checks stay under about 7 s.
+AUDIT_PRIME_LIMIT = 100
 
 
 def _least_factor(n: int) -> int:
@@ -170,26 +179,72 @@ def _is_irreducible_raw(fc: list[int], p: int) -> bool:
     return h == x
 
 
-def _irreducible_flags(p: int, degree: int) -> bytearray:
-    # A monic polynomial is reducible iff it is g*h with g monic irreducible
-    # of degree m <= degree/2 and h monic of degree degree - m.  Strike out
-    # every such product; the survivors are the irreducibles.  The g come
-    # from the same sieve at degree m.
-    flags = bytearray([1]) * p**degree
+def _distinct_degree_sets(fc: list[int], p: int) -> int:
+    # Divisor degrees of f from its distinct-degree factorization: once the
+    # factors of degree < d are divided out, gcd(x^(p^d) - x, f) is the
+    # product of the irreducible factors of degree d.  A repeated factor
+    # breaks that count, so a non-squarefree f gets every degree 0..n.
+    n = len(fc) - 1
+    derivative = _trim([i * c % p for i, c in enumerate(fc)][1:])
+    if _gcd(fc, derivative, p) != [1]:
+        return (2 << n) - 1
+    x = [0, 1]
+    degrees = 1
+    h, rest, d = x, fc, 0
+    while 2 * (d + 1) <= len(rest) - 1:
+        d += 1
+        h = _powmod(h, p, rest, p)
+        g = _gcd(_sub(h, x, p), rest, p)
+        if len(g) > 1:
+            for _ in range((len(g) - 1) // d):
+                degrees |= degrees << d
+            rest = _divmod(rest, g, p)[0]
+            h = _mod(h, rest, p)
+    if len(rest) > 1:  # no factor of degree <= d left, so rest is irreducible
+        degrees |= degrees << len(rest) - 1
+    return degrees
+
+
+def _tails(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    # (a_0, ..., a_{degree-1}) of every monic polynomial, in table index order.
+    return (t[::-1] for t in itertools.product(range(p), repeat=degree))
+
+
+@lru_cache(maxsize=None)
+def _divisor_degree_table(p: int, degree: int) -> tuple[int, ...]:
+    # Entry i is the bitmask of the degrees of the monic divisors of the
+    # polynomial with index i (bits 0 and degree always set).  A monic
+    # polynomial is reducible iff it is g*h with g monic irreducible of
+    # degree m <= degree/2 and h monic of degree degree - m, and then its
+    # divisors are those of h and g times those of h: the set is
+    # S(h) | S(h) << m, whichever such g is struck out.  Entries no
+    # product reaches stay {0, degree}: the irreducibles.
+    if not is_prime(p):
+        raise ValueError(f"not prime: {p}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    size = p**degree
+    if size > TABLE_LIMIT:
+        raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
+    sets = [1 | 1 << degree] * size
     weights = [p**k for k in range(degree)]
     for m in range(1, degree // 2 + 1):
-        cofactors = list(itertools.product(range(p), repeat=degree - m))
-        tails = (t[::-1] for t in itertools.product(range(p), repeat=m))  # index order
-        for g in itertools.compress(tails, _irreducible_flags(p, m)):
-            for h in cofactors:
+        # Each cofactor h with the set of g*h, the same for every g.
+        cofactors = [(h, s | s << m)
+                     for h, s in zip(_tails(p, degree - m), _divisor_degree_table(p, degree - m))]
+        irreducible = 1 | 1 << m
+        for g, s in zip(_tails(p, m), _divisor_degree_table(p, m)):
+            if s != irreducible:
+                continue
+            for h, product_set in cofactors:
                 c = [0] * m + list(h)  # x^m * h below x^degree
                 for i, gi in enumerate(g):
                     if gi:
                         for j, hj in enumerate(h, i):
                             c[j] += gi * hj
                         c[i + degree - m] += gi  # gi x^i times the leading x^(degree-m)
-                flags[sum([ck % p * w for ck, w in zip(c, weights)])] = 0
-    return flags
+                sets[sum([ck % p * w for ck, w in zip(c, weights)])] = product_set
+    return tuple(sets)
 
 
 @lru_cache(maxsize=None)
@@ -198,19 +253,36 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
 
     Index i encodes the non-leading coefficients as base-p digits with
     a_0 least significant.  Only built when p^degree <= TABLE_LIMIT.
-    The table is a sieve of products: it starts with every entry set and
-    clears g*h for each monic irreducible g of degree m <= degree/2 and
-    each monic h of degree degree - m.  That is about p^degree / m
-    small products for each m, and no Rabin test.
+    It is read off the table of divisor degrees, an entry being
+    irreducible iff its only monic divisors have degree 0 and degree.
+    That table is a sieve of products: each g*h with g monic irreducible
+    of degree m <= degree/2 and h monic of degree degree - m stores the
+    divisor degrees of h, shifted by m and not.  That is about
+    p^degree / m small products for each m, and no Rabin test.
     """
+    sets = _divisor_degree_table(p, degree)
+    irreducible = 1 | 1 << degree
+    return tuple(s == irreducible for s in sets)
+
+
+def _table_or_direct(p: int, degree: int, table: Callable, direct: Callable) -> Callable:
+    # A map on the integer coefficients (a_0, ..., a_{degree-1}) of a monic
+    # polynomial: an entry of table(p, degree) when p^degree <= TABLE_LIMIT,
+    # else direct(f mod p, p).  A composite p is refused before direct can
+    # divide by a non-unit and never end.
+    if p**degree <= TABLE_LIMIT:
+        entries = table(p, degree)
+
+        def lookup(coeffs: Sequence[int]):
+            idx = 0
+            for c in reversed(coeffs):
+                idx = idx * p + c % p
+            return entries[idx]
+
+        return lookup
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    size = p**degree
-    if size > TABLE_LIMIT:
-        raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
-    return tuple(map(bool, _irreducible_flags(p, degree)))
+    return lambda coeffs: direct([c % p for c in coeffs] + [1], p)
 
 
 def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool]:
@@ -222,23 +294,22 @@ def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool
     ValueError ("not prime") on a composite p: Rabin's test would divide
     by a non-unit and never end.
     """
-    if p**degree <= TABLE_LIMIT:
-        table = irreducible_table(p, degree)
+    return _table_or_direct(p, degree, irreducible_table, _is_irreducible_raw)
 
-        def lookup(coeffs: Sequence[int]) -> bool:
-            idx = 0
-            for c in reversed(coeffs):
-                idx = idx * p + c % p
-            return table[idx]
 
-        return lookup
-    if not is_prime(p):
-        raise ValueError(f"not prime: {p}")
+def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
+    """Map a monic polynomial to the degrees of its monic divisors mod p.
 
-    def direct(coeffs: Sequence[int]) -> bool:
-        return _is_irreducible_raw([c % p for c in coeffs] + [1], p)
-
-    return direct
+    The map takes (a_0, ..., a_{degree-1}) and returns a bitmask whose
+    bit k is set iff f mod p has a monic divisor of degree k; bits 0 and
+    degree are always set, and f is irreducible mod p iff no other is.
+    When p^degree <= TABLE_LIMIT the answer is read from the table that
+    `irreducible_table` is derived from, and is exact.  Otherwise it
+    comes from a distinct-degree factorization, exact when f mod p is
+    squarefree; when it is not, every degree is returned, which rules
+    nothing out.  Raises ValueError ("not prime") on a composite p.
+    """
+    return _table_or_direct(p, degree, _divisor_degree_table, _distinct_degree_sets)
 
 
 def count_irreducibles_exact(degree: int, p: int) -> int:
@@ -283,12 +354,18 @@ def audit_irreducible_counts(degree: int, primes: Sequence[int]) -> IrreducibleC
 
     `within_sqrt_scale` records whether every squared normalized error
     stayed <= 1 on the tested primes; that constant is an empirical
-    observation about the tested range, not something assumed.
+    observation about the tested range, not something assumed.  Raises
+    FeasibilityError ("audit too large") past AUDIT_PRIME_LIMIT primes,
+    before any of them is checked.
     """
     if degree < 2:
         raise ValueError(f"audit requires degree >= 2, got {degree}")
     if not primes:
         raise ValueError("need at least one prime to audit")
+    if len(primes) > AUDIT_PRIME_LIMIT:
+        raise FeasibilityError(
+            f"audit too large: {len(primes)} primes exceed limit {AUDIT_PRIME_LIMIT}"
+        )
     counts = [count_irreducibles_exact(degree, p) for p in primes]  # every prime checked first
     rows = []
     for p, exact in zip(primes, counts):

@@ -3,38 +3,50 @@
 Every verdict is checkable: a reducible answer always carries a monic
 factor pair (g, h) with g*h = f.  Monic polynomials are primitive, so
 irreducible over Z and over Q coincide and no content bookkeeping is
-needed.  The decision runs in three stages:
+needed.  The decision runs in four stages:
 
 1. a_0 = 0 peels off a factor of x (for degree >= 2).
-2. A fixed probe list of small primes: if f is irreducible mod any probe
-   prime it is irreducible over Z, because monic reduction preserves the
-   degree and any integer factorization would survive it.
-3. Otherwise a finite search over candidate monic factors g with
-   deg g = m <= deg f / 2.  The constant term of g must divide a_0 and
-   coefficient i of g is confined to the Mignotte factor bound
-   B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the search space is finite
-   and the first divisor found (in a fixed order) becomes the witness.
+2. Linear factors: x + b can divide f only if b | a_0 and
+   1 + b | f(1).  Each such b in the Mignotte box is tried, so a
+   polynomial of degree <= 3 is decided here.  The whole box, every
+   degree m <= deg f / 2, is counted against SEARCH_LIMIT first.
+3. Factor-degree sets mod the primes of FACTOR_DEGREE_PRIMES, in order:
+   a monic factor of degree m over Z stays a monic divisor of degree m
+   mod every p, so only the degrees 2 <= m <= deg f / 2 found at every
+   prime can be factor degrees.  Once none is left, f is irreducible.
+4. Otherwise a finite search over candidate monic factors g with
+   deg g = m among the surviving degrees.  The constant term of g must
+   divide a_0 and coefficient i of g is confined to the Mignotte factor
+   bound B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the search space is
+   finite.  Within it only candidates with g(1) | f(1) and
+   g(-1) | f(-1) are divided out, and the top coefficient is solved
+   from the first condition.
 
-The probe list is fixed rather than adaptive so that identical inputs
-always take identical paths.
+Every stage only drops candidates that cannot divide f, and the box is
+searched degree by degree, so the witness is the first divisor of the
+whole box in its fixed order.  The prime list and the search orders are
+fixed rather than adaptive so that identical inputs always take
+identical paths.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .combinatorics import binomial
 from .errors import FeasibilityError
-from .finite_field import irreducibility_tester
+from .finite_field import factor_degree_sets
 from .polynomials import MonicIntPolynomial, enumerate_admissible
 
-PROBE_PRIMES = (2, 3, 5, 7, 11, 13)
+# Primes whose factor-degree sets are intersected, in this order.
+FACTOR_DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
-# Most candidate factors one Mignotte search may try; the candidates are
-# counted before the first one is divided out.
+# Most candidate factors the Mignotte box of one polynomial may hold; the
+# box is counted before any prime is tried, so the limit depends on f alone.
 SEARCH_LIMIT = 10**9
 
 
@@ -92,16 +104,18 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _irreducible_mod(f: MonicIntPolynomial, p: int) -> bool:
-    # Degree is preserved by monic reduction, so the degree-n test applies directly.
-    return irreducibility_tester(p, f.degree)(f.coeffs)
+def _irreducible_mod(f: MonicIntPolynomial, p: int) -> int:
+    # The factor-degree set of f mod p, a bitmask (bit m: a monic divisor of
+    # degree m).  Degree is preserved by monic reduction.
+    return factor_degree_sets(p, f.degree)(f.coeffs)
 
 
 def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     """Exact irreducibility verdict over Z, with witness when reducible.
 
-    Raises FeasibilityError ("search space exceeded") when the bounded
-    factor search would have to try more than SEARCH_LIMIT candidates;
+    Raises FeasibilityError ("search space exceeded") when the Mignotte
+    box of f holds more than SEARCH_LIMIT candidate factors.  The box is
+    counted before any prime is tried, so the limit depends on f alone;
     it never returns a wrong answer.
     """
     n = f.degree
@@ -111,25 +125,35 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
         g = MonicIntPolynomial(1, (0,))
         h = MonicIntPolynomial(n - 1, f.coeffs[1:])
         return FactorizationWitness("reducible", (g, h))
-    for p in PROBE_PRIMES:
-        if _irreducible_mod(f, p):
-            return FactorizationWitness("irreducible")
-    return _bounded_factor_search(f)
-
-
-def _bounded_factor_search(f: MonicIntPolynomial) -> FactorizationWitness:
-    n = f.degree
+    box = _mignotte_box(f)
     full = list(f.all_coefficients())
-    a0 = full[0]
-    norm = _ceil_sqrt(sum(c * c for c in full))
+    at_one = sum(full)
+    # x + b in box order (b | a_0, |b| <= ||f||_2), where g(1) = 1 + b must divide f(1).
+    linear = _first_factor(full, 1, ([b, 1] for b in box[0][2] if _divides(1 + b, at_one)))
+    if linear is not None:
+        return linear
+    degrees = (2 << n // 2) - 4  # bits 2..n/2: the factor degrees still open
+    for p in FACTOR_DEGREE_PRIMES:
+        if not degrees:
+            break
+        degrees &= _irreducible_mod(f, p)
+    if not degrees:
+        return FactorizationWitness("irreducible")
+    return _bounded_factor_search(f, [part for part in box if degrees >> part[0] & 1])
 
+
+def _mignotte_box(f: MonicIntPolynomial) -> list[tuple[int, list[int], list[int]]]:
+    # (m, coefficient bounds, constant terms) of the candidate factors of each
+    # degree m <= n/2, after checking their total count against SEARCH_LIMIT.
+    full = f.all_coefficients()
+    norm = _ceil_sqrt(sum(c * c for c in full))
     candidates = 0
-    plans = []
-    for m in range(1, n // 2 + 1):
+    box = []
+    for m in range(1, f.degree // 2 + 1):
         # Mignotte: |g_i| <= C(m-1, i)*||f||_2 + C(m-1, i-1) for any factor
         # of degree m (leading coefficient of f is 1).
         bounds = [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)]
-        divisors = _signed_divisors(a0, bounds[0])
+        divisors = _signed_divisors(full[0], bounds[0])
         count = len(divisors)
         for b in bounds[1:]:
             count *= 2 * b + 1
@@ -138,18 +162,65 @@ def _bounded_factor_search(f: MonicIntPolynomial) -> FactorizationWitness:
             raise FeasibilityError(
                 f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
             )
-        plans.append((m, bounds, divisors))
+        box.append((m, bounds, divisors))
+    return box
 
-    for m, bounds, divisors in plans:
-        ranges = [range(-b, b + 1) for b in bounds[1:]]
-        for b0 in divisors:
-            for tail in itertools.product(*ranges):
-                g = [b0, *tail, 1]
-                q, r = _divmod_by_monic(full, g)
-                if not any(r):
-                    gp = MonicIntPolynomial(m, tuple(g[:-1]))
-                    hp = MonicIntPolynomial(n - m, tuple(q[:-1]))
-                    return FactorizationWitness("reducible", (gp, hp))
+
+def _divides(d: int, value: int) -> bool:
+    # Whether d | value, in the sense needed here: value 0 constrains nothing.
+    return value == 0 or (d != 0 and value % d == 0)
+
+
+def _candidates(bounds: list[int], divisors: list[int], at_one: int,
+                at_minus_one: int) -> Iterator[list[int]]:
+    # Candidate factors [b_0, ..., b_{m-1}, 1] of degree m = len(bounds) >= 2,
+    # in box order: b_0 over `divisors`, then b_1, ..., b_{m-1}
+    # lexicographically, each ascending within its Mignotte bound.  Only
+    # those with g(1) | f(1) and g(-1) | f(-1) are yielded, a subsequence
+    # that keeps every factor.
+    m = len(bounds)
+    top = bounds[-1]
+    # Every value g(1) may take, ascending; |g(1)| <= 1 + sum of the bounds.
+    values = sorted(_signed_divisors(at_one, sum(bounds) + 1)) if at_one else None
+    sign = (-1) ** (m - 1)  # of b_{m-1} in g(-1)
+    ranges = [range(-b, b + 1) for b in bounds[1:-1]]
+    for head in itertools.product(divisors, *ranges):
+        rest = 1 + sum(head)  # g(1) - b_{m-1}
+        if values is None:
+            tops = range(-top, top + 1)
+        else:
+            window = values[bisect_left(values, rest - top):bisect_right(values, rest + top)]
+            tops = [v - rest for v in window]
+        alternating = sum(head[::2]) - sum(head[1::2]) - sign  # g(-1) - sign * b_{m-1}
+        for b in tops:
+            if _divides(alternating + sign * b, at_minus_one):
+                yield [*head, b, 1]
+
+
+def _first_factor(full: list[int], m: int,
+                  candidates: Iterable[list[int]]) -> FactorizationWitness | None:
+    # The first candidate g of degree m dividing f, with its cofactor.
+    for g in candidates:
+        q, r = _divmod_by_monic(full, g)
+        if not any(r):
+            gp = MonicIntPolynomial(m, tuple(g[:-1]))
+            hp = MonicIntPolynomial(len(full) - 1 - m, tuple(q[:-1]))
+            return FactorizationWitness("reducible", (gp, hp))
+    return None
+
+
+def _bounded_factor_search(
+    f: MonicIntPolynomial, box: list[tuple[int, list[int], list[int]]]
+) -> FactorizationWitness:
+    # The first divisor of f among the candidates of `box` (degrees >= 2),
+    # degree by degree.
+    full = list(f.all_coefficients())
+    at_one = sum(full)
+    at_minus_one = sum(full[::2]) - sum(full[1::2])
+    for m, bounds, divisors in box:
+        found = _first_factor(full, m, _candidates(bounds, divisors, at_one, at_minus_one))
+        if found is not None:
+            return found
     return FactorizationWitness("irreducible")
 
 

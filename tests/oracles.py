@@ -2,12 +2,16 @@
 
 Most of this file is deliberately primitive and self-contained: plain
 tuple enumeration, Pascal's triangle, an odd-only prime sieve, and an
-unpruned factor-pair search with its own division routine.  None of
-that shares code with the package paths it checks.  Three oracles do
-call package internals:
+unpruned factor-pair search with its own division routine (which also
+yields the first divisor in the package's box order).  None of that
+shares code with the package paths it checks.  Five oracles do call
+package internals:
 
-* `is_irreducible_trial_division` divides with the package's `_mod`,
-  so it is independent of Rabin's criterion but not of the division;
+* `is_irreducible_trial_division`, `brute_divisor_degrees` and
+  `is_squarefree_trial_division` divide with the package's `_mod` (the
+  last also squares with `_mul`), so they are independent of Rabin's
+  criterion, the tables and the distinct-degree factorization, but not
+  of the arithmetic;
 * `count_irreducibles_exhaustive` runs the package's Rabin test on every
   polynomial, so it checks the Gauss/Moebius count, not the Rabin test;
 * `brute_sieve_counts` decides membership mod p with
@@ -19,7 +23,7 @@ import math
 
 from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
-from admissible.finite_field import _is_irreducible_raw, _mod, is_prime
+from admissible.finite_field import _is_irreducible_raw, _mod, _mul, is_prime
 from admissible.polynomials import MonicIntPolynomial
 
 DEFAULT_ORACLE_LIMIT = 10**8
@@ -93,6 +97,30 @@ def oracle_is_irreducible_over_z(full: list[int]) -> bool:
     return True
 
 
+def first_box_divisor(full: list[int]) -> tuple[int, ...] | None:
+    """First monic divisor of f in the unpruned Mignotte box order, or None.
+
+    `full` is the ascending coefficient vector of a monic f with
+    a_0 != 0.  Degrees m = 1, 2, ..., n/2 in turn; within a degree the
+    constant term runs over the divisors d of a_0 with |d| <= B_0 in the
+    order -1, 1, -2, 2, ..., then (g_1, ..., g_{m-1}) over the box
+    lexicographically, each ascending.  Returns (g_0, ..., g_{m-1}).
+    """
+    n = len(full) - 1
+    norm = _ceil_sqrt(sum(c * c for c in full))
+    for m in range(1, n // 2 + 1):
+        bounds = [
+            math.comb(m - 1, i) * norm + (math.comb(m - 1, i - 1) if i >= 1 else 0)
+            for i in range(m)
+        ]
+        constants = [s * d for d in range(1, bounds[0] + 1) if full[0] % d == 0 for s in (-1, 1)]
+        for g0 in constants:
+            for tail in itertools.product(*[range(-b, b + 1) for b in bounds[1:]]):
+                if _divides(full, [g0, *tail, 1]):
+                    return (g0, *tail)
+    return None
+
+
 def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Independent oracle: walk every capped tuple and count the matches.
 
@@ -152,6 +180,34 @@ def is_irreducible_trial_division(coeffs: list[int], p: int) -> bool:
     for m in range(1, n // 2 + 1):
         for tail in itertools.product(range(p), repeat=m):
             if not _mod(coeffs, list(tail) + [1], p):
+                return False
+    return True
+
+
+def brute_divisor_degrees(coeffs: list[int], p: int) -> int:
+    """Degrees of the monic divisors of f over F_p, as a bitmask.
+
+    `coeffs` is the full ascending list over F_p, leading entry included.
+    Divides by every monic polynomial of degree m <= n/2; a divisor of
+    degree m sets bits m and n - m.  Bits 0 and n are always set.
+    """
+    n = len(coeffs) - 1
+    degrees = 1 | 1 << n
+    for m in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=m):
+            if not _mod(coeffs, list(tail) + [1], p):
+                degrees |= 1 << m | 1 << n - m
+                break
+    return degrees
+
+
+def is_squarefree_trial_division(coeffs: list[int], p: int) -> bool:
+    """Whether no g^2 with g monic of degree >= 1 divides f over F_p."""
+    n = len(coeffs) - 1
+    for m in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=m):
+            g = list(tail) + [1]
+            if not _mod(coeffs, _mul(g, g, p), p):
                 return False
     return True
 

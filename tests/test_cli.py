@@ -257,6 +257,9 @@ def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
         (["fp-audit", "--degree", "100000", "--primes", "9973"], "report too large"),
         # p^n would have 10^7 digits (10 s to compute); its bit length settles it.
         (["fp-audit", "--degree", "100000", "--primes", str(10**100 + 1)], "report too large"),
+        # 101 primes near the modulus limit: about 7 s of trial division.
+        (["fp-audit", "--degree", "2", "--primes", ",".join(["999999999989"] * 101)],
+         "audit too large"),
     ):
         start = time.monotonic()
         proc = run_cli(*argv, expect_code=3)

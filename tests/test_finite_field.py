@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from admissible import finite_field
 from admissible.errors import FeasibilityError
 from admissible.finite_field import (
+    AUDIT_PRIME_LIMIT,
     MODULUS_LIMIT,
     TABLE_LIMIT,
+    _distinct_degree_sets,
     _divmod,
     _gcd,
     _is_irreducible_raw,
@@ -19,6 +21,7 @@ from admissible.finite_field import (
     _powmod,
     audit_irreducible_counts,
     count_irreducibles_exact,
+    factor_degree_sets,
     irreducibility_tester,
     irreducible_table,
     is_prime,
@@ -26,7 +29,12 @@ from admissible.finite_field import (
 )
 from admissible.sieve import primes_below
 
-from oracles import count_irreducibles_exhaustive, is_irreducible_trial_division
+from oracles import (
+    brute_divisor_degrees,
+    count_irreducibles_exhaustive,
+    is_irreducible_trial_division,
+    is_squarefree_trial_division,
+)
 
 
 def test_is_prime_small():
@@ -158,8 +166,83 @@ def test_irreducible_table_runs_no_rabin_test(monkeypatch):
         raise AssertionError("a table build ran a Rabin test")
 
     irreducible_table.cache_clear()
+    finite_field._divisor_degree_table.cache_clear()
     monkeypatch.setattr(finite_field, "_is_irreducible_raw", no_rabin)
     assert sum(irreducible_table(13, 4)) == count_irreducibles_exact(4, 13)
+
+
+def _index_order(p, n):
+    # The tails (a_0, ..., a_{n-1}) of table indices 0, 1, ..., p^n - 1.
+    return [tuple(i // p**k % p for k in range(n)) for i in range(p**n)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4), (5, 4), (7, 3), (5, 5), (2, 8)])
+def test_divisor_degree_table_matches_trial_division(p, n):
+    degrees = factor_degree_sets(p, n)
+    table = irreducible_table(p, n)
+    for i, tail in enumerate(_index_order(p, n)):
+        want = brute_divisor_degrees(list(tail) + [1], p)
+        assert degrees(tail) == want, (p, tail)
+        # The irreducibility table is the entries with no proper divisor.
+        assert table[i] == (want == 1 | 1 << n) == is_irreducible_trial_division(
+            list(tail) + [1], p
+        )
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 4), (7, 3), (3, 5)])
+def test_distinct_degree_sets_match_trial_division(p, n):
+    # Every monic polynomial of small grids, squarefree or not.
+    every = (2 << n) - 1
+    for tail in _index_order(p, n):
+        fc = list(tail) + [1]
+        got = _distinct_degree_sets(fc, p)
+        if is_squarefree_trial_division(fc, p):
+            assert got == brute_divisor_degrees(fc, p), (p, tail)
+        else:
+            assert got == every, (p, tail)
+
+
+@given(
+    pn=st.sampled_from([(37, 3), (17, 4), (11, 5)]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_factor_degree_sets_past_the_table_limit(pn, data):
+    p, n = pn
+    assert p**n > TABLE_LIMIT
+    tail = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    fc = [c % p for c in tail] + [1]
+    got = factor_degree_sets(p, n)(tail)
+    if is_squarefree_trial_division(fc, p):
+        assert got == brute_divisor_degrees(fc, p)
+    else:
+        assert got == (2 << n) - 1
+
+
+def test_a_repeated_factor_past_the_table_limit_rules_nothing_out():
+    # (x^2 + 3)^2 mod 17, with x^2 + 3 irreducible (-3 is no square mod 17),
+    # has monic divisors of degrees 0, 2 and 4 only...
+    fc = _mul([3, 0, 1], [3, 0, 1], 17)
+    assert brute_divisor_degrees(fc, 17) == 0b10101
+    # ...but the distinct-degree factorization needs a squarefree input.
+    assert factor_degree_sets(17, 4)(fc[:-1]) == 0b11111
+
+
+def test_factor_degree_sets_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for p, n in [(11, 5), (13, 5), (17, 4), (31, 4)]:
+        degrees = factor_degree_sets(p, n)
+        for tail in itertools.islice(itertools.product(range(-2, 3), repeat=n), 0, None, 7):
+            fc = list(tail) + [1]
+            _, factors = sympy.Poly(fc[::-1], x, modulus=p).factor_list()
+            sums = 1
+            for g, e in factors:
+                for _ in range(e):
+                    sums |= sums << g.degree()
+            got = degrees(tail)
+            repeated = any(e > 1 for _, e in factors)
+            assert got == sums or (repeated and got == (2 << n) - 1), (p, tail)
 
 
 def test_irreducible_table_preconditions():
@@ -259,3 +342,18 @@ def test_audit_preconditions():
         audit_irreducible_counts(1, [2])
     with pytest.raises(ValueError):
         audit_irreducible_counts(2, [])
+
+
+def test_audit_prime_limit_is_checked_before_any_prime(monkeypatch):
+    def no_check(n):
+        raise AssertionError("a prime was checked")
+
+    assert AUDIT_PRIME_LIMIT == 100
+    monkeypatch.setattr(finite_field, "is_prime", no_check)
+    with pytest.raises(FeasibilityError, match="audit too large: 101 primes exceed limit 100"):
+        audit_irreducible_counts(2, [999999999989] * 101)
+    monkeypatch.undo()
+    monkeypatch.setattr(finite_field, "AUDIT_PRIME_LIMIT", 3)
+    assert len(audit_irreducible_counts(2, [2, 3, 5]).rows) == 3
+    with pytest.raises(FeasibilityError, match="4 primes exceed limit 3"):
+        audit_irreducible_counts(2, [2, 3, 5, 7])

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 from admissible import integer_irreducibility
 from admissible.errors import FeasibilityError
 from admissible.integer_irreducibility import (
-    PROBE_PRIMES,
+    FACTOR_DEGREE_PRIMES,
     FactorizationWitness,
     count_admissible_irreducible,
     is_irreducible_over_z,
 )
-from admissible.polynomials import MonicIntPolynomial, count_admissible_exact
+from admissible.polynomials import (
+    MonicIntPolynomial,
+    count_admissible_exact,
+    enumerate_admissible,
+)
 
 from oracles import (
+    first_box_divisor,
     is_irreducible_trial_division,
     multiply_monic,
     oracle_is_irreducible_over_z,
@@ -54,8 +59,6 @@ def test_witnesses_multiply_back():
 
 
 def _admissible_polys(n, h):
-    from admissible.polynomials import enumerate_admissible
-
     return enumerate_admissible(n, h)
 
 
@@ -78,7 +81,7 @@ def test_quartic_agreement_with_factor_pair_oracle(coeffs):
 
 @given(
     coeffs=st.lists(st.integers(-8, 8), min_size=2, max_size=5),
-    p=st.sampled_from(PROBE_PRIMES),
+    p=st.sampled_from(FACTOR_DEGREE_PRIMES),
 )
 @settings(max_examples=150, deadline=None)
 def test_never_contradicts_mod_p_irreducibility(coeffs, p):
@@ -100,8 +103,8 @@ def test_count_bounded_by_census():
 
 
 def test_search_limit_is_inclusive(monkeypatch):
-    # (x + 1)(x^2 + x + 1): reducible mod every probe prime, and the search
-    # has two candidates, x - 1 and x + 1 (a_0 = 1, one linear factor).
+    # (x + 1)(x^2 + x + 1): the box has two candidates, x - 1 and x + 1
+    # (a_0 = 1, one linear factor), and it is counted before either is tried.
     f = MonicIntPolynomial(3, (1, 2, 2))
     monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 2)
     assert is_irreducible_over_z(f).factors[0].text() == "x + 1"
@@ -125,3 +128,70 @@ def test_witness_type_validation():
             "reducible",
             (MonicIntPolynomial(2, (1, 1)), MonicIntPolynomial(1, (1,))),  # deg g > deg h
         )
+
+
+def _first_divisor(f):
+    w = is_irreducible_over_z(f)
+    return None if w.irreducible else w.factors[0].coeffs
+
+
+def test_witnesses_are_the_first_divisor_of_the_whole_box():
+    # The linear stage, the degree sets and the g(1), g(-1) rules only skip
+    # non-divisors, so the witness is the first divisor of the unpruned box.
+    polys = [
+        *enumerate_admissible(4, 12),
+        *(MonicIntPolynomial(3, c) for c in itertools.product(range(-4, 5), repeat=3)),
+        *(MonicIntPolynomial(4, c) for c in itertools.product(range(-2, 3), repeat=4)),
+    ]
+    for f in polys:
+        if f.coeffs[0]:
+            assert _first_divisor(f) == first_box_divisor(list(f.all_coefficients())), f
+
+
+def test_roots_at_one_and_minus_one():
+    # f(1) = 0 or f(-1) = 0 constrains nothing; the linear factor comes first.
+    for coeffs, g, h in (
+        ((-1, 0, 0), "x - 1", "x^2 + x + 1"),
+        ((1, 0, 0), "x + 1", "x^2 - x + 1"),
+        ((-1, 0, 0, 0), "x - 1", "x^3 + x^2 + x + 1"),
+    ):
+        w = is_irreducible_over_z(MonicIntPolynomial(len(coeffs), coeffs))
+        assert [p.text() for p in w.factors] == [g, h]
+
+
+def test_quadratic_factors_when_f_vanishes_at_one_and_minus_one():
+    # x^4 - 1 searched at degree 2 only: g(1) ranges over the whole box,
+    # and the first quadratic divisor in box order is x^2 - 1.
+    f = MonicIntPolynomial(4, (-1, 0, 0, 0))
+    box = [part for part in integer_irreducibility._mignotte_box(f) if part[0] == 2]
+    w = integer_irreducibility._bounded_factor_search(f, box)
+    assert [p.text() for p in w.factors] == ["x^2 - 1", "x^2 + 1"]
+
+
+def test_degree_sets_leave_13_searches_at_a_5_27(monkeypatch):
+    # Of the 4,845 quintics at (5, 27), 2,260 are reducible mod each of
+    # 2, 3, 5, 7, 11 and 13.  After the linear factors, the intersected
+    # degree sets leave 13 with a possible quadratic factor.
+    search = integer_irreducibility._bounded_factor_search
+    entries = []
+
+    def counted(f, box):
+        entries.append(f)
+        return search(f, box)
+
+    monkeypatch.setattr(integer_irreducibility, "_bounded_factor_search", counted)
+    assert count_admissible_irreducible(5, 27) == 4844
+    assert len(entries) == 13
+
+
+def test_verdicts_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    polys = [
+        *(MonicIntPolynomial(3, c) for c in itertools.product(range(-3, 4), repeat=3)),
+        *(MonicIntPolynomial(4, c) for c in itertools.product(range(-2, 3), repeat=4)),
+        *enumerate_admissible(5, 10),
+    ]
+    for f in polys:
+        want = sympy.Poly(f.all_coefficients()[::-1], x).is_irreducible
+        assert is_irreducible_over_z(f).irreducible == want, f

@@ -18,12 +18,14 @@ ORACLE_NAMES = (
 
 # Deleted because nothing in the package or the CLI called them: a second
 # F_p representation (with its wrappers), the unbounded composition counts
-# and pi(z), which is len(primes_below(z + 1)); and the defaults of the
+# and pi(z), which is len(primes_below(z + 1)); the defaults of the
 # enumeration and search limits, now the constants ENUM_LIMIT and
-# SEARCH_LIMIT.
+# SEARCH_LIMIT; and the irreducibility probe primes, replaced by the
+# factor-degree sets over FACTOR_DEGREE_PRIMES.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
+    "PROBE_PRIMES",
     "PrimeFieldPolynomial",
     "_same_modulus",
     "count_nonneg_compositions",
