@@ -4,17 +4,15 @@ Polynomials over F_p are plain ascending coefficient lists with entries
 in [0, p) and no trailing zeros; [] is the zero polynomial.  Primality
 is decided by trial division, which is all that desk-scale moduli need.
 
-Irreducibility of one polynomial is decided by Rabin's criterion.  When
+Irreducibility mod p is read off the degrees of a polynomial's monic
+divisors: f of degree n is irreducible iff they are only 0 and n.  When
 all p^n monic polynomials of a degree fit in a memoized lookup table,
 the table is built by striking out every product g*h with g monic
-irreducible of degree <= n/2, so the build runs no Rabin test at all.
-Each struck-out entry stores the degrees of its monic divisors, read
-off the table of the cofactor h, and the irreducibility table is
-derived from it.  Past the table size, the divisor degrees come from a
-distinct-degree factorization.  The exact count of monic irreducibles
-of each degree comes from the Gauss/Moebius formula, which the test
-suite compares against an exhaustive Rabin count and against the
-tables.
+irreducible of degree <= n/2, each entry storing the divisor degrees
+read off the table of the cofactor h.  Past the table size, one
+polynomial's divisor degrees come from its distinct-degree
+factorization, the one direct algorithm here.  The exact count of monic
+irreducibles of each degree comes from the Gauss/Moebius formula.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import FeasibilityError
@@ -66,22 +63,18 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n) == n
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    while n > 1:
-        f = _least_factor(n)
-        out.append(f)
-        while n % f == 0:
-            n //= f
-    return out
-
-
 def mobius(n: int) -> int:
     """The Moebius function: 0 on squareful n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError(f"mobius expects n >= 1, got {n}")
-    divisors = _prime_divisors(n)
-    return 0 if prod(divisors) != n else (-1) ** len(divisors)
+    sign = 1
+    while n > 1:
+        f = _least_factor(n)
+        n //= f
+        if n % f == 0:
+            return 0
+        sign = -sign
+    return sign
 
 
 # --- raw list arithmetic -------------------------------------------------
@@ -163,22 +156,6 @@ def _powmod(base: list[int], exp: int, modulus: list[int], p: int) -> list[int]:
 # --- irreducibility -------------------------------------------------------
 
 
-def _is_irreducible_raw(fc: list[int], p: int) -> bool:
-    # Rabin's criterion: f of degree n is irreducible iff x^(p^n) == x
-    # (mod f) and gcd(x^(p^(n/q)) - x, f) = 1 for every prime q | n.
-    n = len(fc) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    checkpoints = {n // q for q in _prime_divisors(n)}
-    h = x
-    for i in range(1, n + 1):
-        h = _powmod(h, p, fc, p)
-        if i in checkpoints and _gcd(_sub(h, x, p), fc, p) != [1]:
-            return False
-    return h == x
-
-
 def _distinct_degree_sets(fc: list[int], p: int) -> int:
     # Divisor degrees of f from its distinct-degree factorization: once the
     # factors of degree < d are divided out, gcd(x^(p^d) - x, f) is the
@@ -203,6 +180,12 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
     if len(rest) > 1:  # no factor of degree <= d left, so rest is irreducible
         degrees |= degrees << len(rest) - 1
     return degrees
+
+
+def _is_irreducible_raw(fc: list[int], p: int) -> bool:
+    # f of degree n is irreducible iff its divisor degrees are {0, n}.  A
+    # non-squarefree f gets every degree, so it is reducible for n >= 2.
+    return _distinct_degree_sets(fc, p) == 1 | 1 << len(fc) - 1
 
 
 def _tails(p: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -258,7 +241,7 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     That table is a sieve of products: each g*h with g monic irreducible
     of degree m <= degree/2 and h monic of degree degree - m stores the
     divisor degrees of h, shifted by m and not.  That is about
-    p^degree / m small products for each m, and no Rabin test.
+    p^degree / m small products for each m, and no direct test.
     """
     sets = _divisor_degree_table(p, degree)
     irreducible = 1 | 1 << degree
@@ -290,9 +273,10 @@ def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool
 
     The predicate takes (a_0, ..., a_{degree-1}) of a monic polynomial of
     the given degree.  It answers from `irreducible_table` when
-    p^degree <= TABLE_LIMIT and by Rabin's test otherwise.  Raises
-    ValueError ("not prime") on a composite p: Rabin's test would divide
-    by a non-unit and never end.
+    p^degree <= TABLE_LIMIT and otherwise from the distinct-degree
+    factorization of f mod p, irreducible iff it finds no divisor degree
+    but 0 and degree.  Raises ValueError ("not prime") on a composite p:
+    the factorization would divide by a non-unit and never end.
     """
     return _table_or_direct(p, degree, irreducible_table, _is_irreducible_raw)
 

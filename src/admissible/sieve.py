@@ -35,11 +35,11 @@ SIEVE_LIMIT = 10**7
 # each already takes seconds, and 9,592 primes would mean a 46M-entry table.
 INSTANCE_PRIME_LIMIT = 500
 
-# Most direct Rabin tests an instance may need: the ambient size times the
+# Most direct tests an instance may need: the ambient size times the
 # primes below z with p^degree > TABLE_LIMIT, which get no lookup table.
-# One degree-4 test took 0.2 ms (p near 17) to 0.5 ms (p near 3,571) on
-# a 2 vCPU Intel Xeon with Python 3.11, so this is about 10 s at most.
-RABIN_TEST_LIMIT = 20_000
+# One degree-4 test took 0.1 ms (p near 17) to 0.4 ms (p near 3,571) on
+# a 2 vCPU Intel Xeon with Python 3.11, so this is about 8 s at most.
+DIRECT_TEST_LIMIT = 20_000
 
 # The Chebyshev audit's band for pi(z) * ln(z) / z, from z = 17 on.
 CHEBYSHEV_BAND = (0.9, 1.3)
@@ -255,9 +255,9 @@ def _sifting_problem(degree: int, height: int, z: int) -> tuple[TuranInstance, d
     untabled = sum(p**degree > TABLE_LIMIT for p in primes)
     if untabled:
         tests = count_admissible_exact(degree, height) * untabled
-        if tests > RABIN_TEST_LIMIT:
-            raise FeasibilityError(f"sieve work too large: {tests} Rabin tests for primes "
-                                   f"without a table exceed limit {RABIN_TEST_LIMIT}")
+        if tests > DIRECT_TEST_LIMIT:
+            raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
+                                   f"without a table exceed limit {DIRECT_TEST_LIMIT}")
     histogram = _membership_histogram(enumerate_admissible(degree, height), primes)
     pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i:]}
     for mask, count in histogram.items():
@@ -283,7 +283,7 @@ def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance
     below z.  The closed-form remainder shapes belong to the pipeline
     report, never to this instance.  Raises FeasibilityError ("sieve
     level too large") past INSTANCE_PRIME_LIMIT primes below z, and
-    ("sieve work too large") past RABIN_TEST_LIMIT direct Rabin tests.
+    ("sieve work too large") past DIRECT_TEST_LIMIT direct tests.
     """
     return _sifting_problem(degree, height, z)[0]
 

@@ -4,16 +4,18 @@ Most of this file is deliberately primitive and self-contained: plain
 tuple enumeration, Pascal's triangle, an odd-only prime sieve, and an
 unpruned factor-pair search with its own division routine (which also
 yields the first divisor in the package's box order).  None of that
-shares code with the package paths it checks.  Five oracles do call
+shares code with the package paths it checks.  Six oracles do call
 package internals:
 
 * `is_irreducible_trial_division`, `brute_divisor_degrees` and
   `is_squarefree_trial_division` divide with the package's `_mod` (the
-  last also squares with `_mul`), so they are independent of Rabin's
-  criterion, the tables and the distinct-degree factorization, but not
-  of the arithmetic;
-* `count_irreducibles_exhaustive` runs the package's Rabin test on every
-  polynomial, so it checks the Gauss/Moebius count, not the Rabin test;
+  last also squares with `_mul`), so they are independent of the tables
+  and the distinct-degree factorization, but not of the arithmetic;
+* `is_irreducible_rabin` is Rabin's criterion, a second direct algorithm
+  beside the package's distinct-degree factorization, built on the
+  package's `_powmod`, `_gcd` and `_sub`;
+* `count_irreducibles_exhaustive` runs `is_irreducible_rabin` on every
+  polynomial, so it checks the Gauss/Moebius count;
 * `brute_sieve_counts` decides membership mod p with
   `is_irreducible_trial_division`, so it shares that oracle's `_mod`.
 """
@@ -23,7 +25,7 @@ import math
 
 from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
-from admissible.finite_field import _is_irreducible_raw, _mod, _mul, is_prime
+from admissible.finite_field import _gcd, _mod, _mul, _powmod, _sub, is_prime
 from admissible.polynomials import MonicIntPolynomial
 
 DEFAULT_ORACLE_LIMIT = 10**8
@@ -212,10 +214,42 @@ def is_squarefree_trial_division(coeffs: list[int], p: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list[int]:
+    # The primes q | n, each tested by trial division over all of 2..q-1.
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+
+
+def is_irreducible_rabin(fc: list[int], p: int) -> bool:
+    """Rabin's irreducibility test for a monic f over F_p.
+
+    `fc` is the full ascending list over F_p, leading entry included.
+    """
+    # Rabin's criterion: f of degree n is irreducible iff x^(p^n) == x
+    # (mod f) and gcd(x^(p^(n/q)) - x, f) = 1 for every prime q | n.
+    n = len(fc) - 1
+    if n == 1:
+        return True
+    x = [0, 1]
+    checkpoints = {n // q for q in _prime_divisors(n)}
+    h = x
+    for i in range(1, n + 1):
+        h = _powmod(h, p, fc, p)
+        if i in checkpoints and _gcd(_sub(h, x, p), fc, p) != [1]:
+            return False
+    return h == x
+
+
+def brute_mobius(n: int) -> int:
+    """mu(n) from its definition: 0 if some d^2 > 1 divides n, else (-1)^(prime divisors)."""
+    if any(n % (d * d) == 0 for d in range(2, math.isqrt(n) + 1)):
+        return 0
+    return (-1) ** len(_prime_divisors(n))
+
+
 def count_irreducibles_exhaustive(
     degree: int, p: int, max_oracle: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> int:
-    """Independent oracle: test all p^degree monic polynomials one by one."""
+    """Independent oracle: Rabin's test on all p^degree monic polynomials."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not is_prime(p):
@@ -227,7 +261,7 @@ def count_irreducibles_exhaustive(
         )
     count = 0
     for tail in itertools.product(range(p), repeat=degree):
-        if _is_irreducible_raw(list(tail) + [1], p):
+        if is_irreducible_rabin(list(tail) + [1], p):
             count += 1
     return count
 
@@ -241,7 +275,7 @@ def brute_sieve_counts(
     (the diagonal included), and sifted counts the polynomials reducible
     mod every prime below z.  Polynomials come from
     `brute_admissible_vectors`, primes from trial division, membership
-    from `is_irreducible_trial_division`: no table, no Rabin test.
+    from `is_irreducible_trial_division`: no table, no direct test.
     """
     primes = [p for p in range(2, z) if all(p % d for d in range(2, p))]
     member = {p: 0 for p in primes}

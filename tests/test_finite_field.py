@@ -31,7 +31,9 @@ from admissible.sieve import primes_below
 
 from oracles import (
     brute_divisor_degrees,
+    brute_mobius,
     count_irreducibles_exhaustive,
+    is_irreducible_rabin,
     is_irreducible_trial_division,
     is_squarefree_trial_division,
 )
@@ -74,6 +76,7 @@ def test_modulus_limit_is_checked_before_trial_division():
 
 def test_mobius_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    assert all(mobius(n) == brute_mobius(n) for n in range(1, 2001))
 
 
 def test_tester_reduces_integer_coefficients():
@@ -82,7 +85,7 @@ def test_tester_reduces_integer_coefficients():
     assert not irreducibility_tester(3, 3)((1, 3, 1))  # x^3 + x^2 + 1, root x = 1
     assert not irreducibility_tester(5, 2)((1, 0))  # x^2 + 1, root x = 2
     assert irreducibility_tester(2, 2)((-1, 3))  # x^2 + x + 1
-    # 191^2 > TABLE_LIMIT, so Rabin's test answers: x^2 - 190 = x^2 + 1 mod 191,
+    # 191^2 > TABLE_LIMIT, so the direct test answers: x^2 - 190 = x^2 + 1 mod 191,
     # and -1 is no square mod a prime = 3 mod 4.
     assert irreducibility_tester(191, 2)((-190, 0))
 
@@ -93,8 +96,8 @@ def test_tester_reduces_integer_coefficients():
 )
 @settings(max_examples=200, deadline=None)
 def test_tester_agrees_with_rabin_on_integer_coefficients(p, coeffs):
-    # Tables answer while p^degree <= TABLE_LIMIT, Rabin's test past it.
-    expected = _is_irreducible_raw([c % p for c in coeffs] + [1], p)
+    # Tables answer while p^degree <= TABLE_LIMIT, the direct test past it.
+    expected = is_irreducible_rabin([c % p for c in coeffs] + [1], p)
     assert irreducibility_tester(p, len(coeffs))(coeffs) == expected
 
 
@@ -140,7 +143,9 @@ def test_rabin_agrees_with_trial_division_exhaustively():
         for n in range(1, max_n + 1):
             for tail in itertools.product(range(p), repeat=n):
                 f = list(tail) + [1]
-                assert _is_irreducible_raw(f, p) == is_irreducible_trial_division(f, p), (p, f)
+                want = is_irreducible_trial_division(f, p)
+                assert is_irreducible_rabin(f, p) == want, (p, f)
+                assert _is_irreducible_raw(f, p) == want, (p, f)
 
 
 def test_irreducible_table_matches_rabin_entry_by_entry():
@@ -150,7 +155,7 @@ def test_irreducible_table_matches_rabin_entry_by_entry():
         while p**n <= 2500:
             for i, flag in enumerate(irreducible_table(p, n)):
                 tail = [i // p**k % p for k in range(n)]
-                assert flag == _is_irreducible_raw(tail + [1], p), (p, n, i)
+                assert flag == is_irreducible_rabin(tail + [1], p), (p, n, i)
             n += 1
 
 
@@ -162,13 +167,51 @@ def test_irreducible_table_counts_match_gauss(p, n):
 
 
 def test_irreducible_table_runs_no_rabin_test(monkeypatch):
-    def no_rabin(fc, p):
-        raise AssertionError("a table build ran a Rabin test")
+    def no_direct_test(fc, p):
+        raise AssertionError("a table build ran a direct test")
 
     irreducible_table.cache_clear()
     finite_field._divisor_degree_table.cache_clear()
-    monkeypatch.setattr(finite_field, "_is_irreducible_raw", no_rabin)
+    monkeypatch.setattr(finite_field, "_is_irreducible_raw", no_direct_test)
+    monkeypatch.setattr(finite_field, "_distinct_degree_sets", no_direct_test)
     assert sum(irreducible_table(13, 4)) == count_irreducibles_exact(4, 13)
+
+
+@given(
+    pn=st.sampled_from([(17, 4), (11, 5), (2, 16)]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_direct_test_agrees_with_rabin_past_the_table_limit(pn, data):
+    p, n = pn
+    assert p**n > TABLE_LIMIT
+    tail = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    fc = [c % p for c in tail] + [1]
+    want = is_irreducible_rabin(fc, p)
+    assert _is_irreducible_raw(fc, p) == want
+    assert irreducibility_tester(p, n)(tail) == want
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_artin_schreier_polynomials_are_irreducible(p):
+    # x^p - x - 1 is irreducible over F_p, of degree p.
+    fc = [p - 1, p - 1] + [0] * (p - 2) + [1]
+    assert is_irreducible_rabin(fc, p)
+    assert _is_irreducible_raw(fc, p)
+    assert irreducibility_tester(p, p)(fc[:-1])
+
+
+def test_non_squarefree_inputs_are_reducible():
+    # (x^2 + 1)^2 mod 191, with x^2 + 1 irreducible (191 = 3 mod 4), past the table.
+    fc = _mul([1, 0, 1], [1, 0, 1], 191)
+    assert is_irreducible_rabin([1, 0, 1], 191) and _is_irreducible_raw([1, 0, 1], 191)
+    assert not is_irreducible_rabin(fc, 191)
+    assert not _is_irreducible_raw(fc, 191)
+    assert not irreducibility_tester(191, 4)(fc[:-1])
+    # (x + 1)^4 = x^4 + 1 mod 2 has a zero derivative.
+    fc = [1, 0, 0, 0, 1]
+    assert not is_irreducible_rabin(fc, 2)
+    assert not _is_irreducible_raw(fc, 2)
 
 
 def _index_order(p, n):
@@ -256,7 +299,7 @@ def test_irreducible_table_preconditions():
 
 
 def test_tester_rejects_a_composite_modulus_at_once():
-    # 200^2 > TABLE_LIMIT, so the Rabin branch would answer, and its gcd
+    # 200^2 > TABLE_LIMIT, so the direct branch would answer, and its gcd
     # never ends over Z/200.  4^2 fits a table, which rejects 4 itself.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="not prime: 200"):

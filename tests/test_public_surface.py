@@ -10,8 +10,10 @@ ORACLE_NAMES = (
     "DEFAULT_EXHAUSTIVE_LIMIT",
     "DEFAULT_ORACLE_LIMIT",
     "brute_force_compositions",
+    "brute_mobius",
     "count_irreducibles_exhaustive",
     "count_primes_crosscheck",
+    "is_irreducible_rabin",
     "is_irreducible_trial_division",
     "multiply_monic",
 )
@@ -20,13 +22,17 @@ ORACLE_NAMES = (
 # F_p representation (with its wrappers), the unbounded composition counts
 # and pi(z), which is len(primes_below(z + 1)); the defaults of the
 # enumeration and search limits, now the constants ENUM_LIMIT and
-# SEARCH_LIMIT; and the irreducibility probe primes, replaced by the
-# factor-degree sets over FACTOR_DEGREE_PRIMES.
+# SEARCH_LIMIT; the irreducibility probe primes, replaced by the
+# factor-degree sets over FACTOR_DEGREE_PRIMES; and the prime divisors
+# that Rabin's criterion needed, folded into mobius, with the limit named
+# after that criterion, now DIRECT_TEST_LIMIT.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
     "PROBE_PRIMES",
     "PrimeFieldPolynomial",
+    "RABIN_TEST_LIMIT",
+    "_prime_divisors",
     "_same_modulus",
     "count_nonneg_compositions",
     "count_positive_compositions",

@@ -347,14 +347,14 @@ def test_instance_prime_limit_is_inclusive(monkeypatch):
     assert exact_sifted_count(enumerate_admissible(3, 6), 12) == brute_sieve_counts(3, 6, 12)[2]
 
 
-def test_rabin_test_limit_is_checked_before_any_membership_test(monkeypatch):
+def test_direct_test_limit_is_checked_before_any_membership_test(monkeypatch):
     def no_tester(p, degree):
-        raise AssertionError("a tester was built past the Rabin test limit")
+        raise AssertionError("a tester was built past the direct test limit")
 
     monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
     start = time.monotonic()
     # 2,600 quartics times the 494 primes from 17 to 3,571, whose quartics get no table.
-    message = "sieve work too large: 1284400 Rabin tests"
+    message = "sieve work too large: 1284400 direct tests"
     with pytest.raises(FeasibilityError, match=message):
         build_admissible_instance(4, 24, 3572)
     with pytest.raises(FeasibilityError, match=message):
@@ -362,9 +362,9 @@ def test_rabin_test_limit_is_checked_before_any_membership_test(monkeypatch):
     assert time.monotonic() - start < 1
 
 
-def test_rabin_test_limit_is_inclusive(monkeypatch):
+def test_direct_test_limit_is_inclusive(monkeypatch):
     # Four quartics of height 6; 17 is the first prime whose quartics get no table.
-    monkeypatch.setattr(sieve, "RABIN_TEST_LIMIT", 4)
+    monkeypatch.setattr(sieve, "DIRECT_TEST_LIMIT", 4)
     _assert_sieve_data_matches_brute_force(4, 6, 18)
-    with pytest.raises(FeasibilityError, match="8 Rabin tests .* exceed limit 4"):
+    with pytest.raises(FeasibilityError, match="8 direct tests .* exceed limit 4"):
         build_admissible_instance(4, 6, 20)
