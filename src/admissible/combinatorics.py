@@ -2,7 +2,9 @@
 
 `count_bounded_compositions` counts ordered sums of nonnegative parts
 with every part capped at H, the counting problem behind the
-admissible-polynomial census.  Every count is a plain Python int, so
+admissible-polynomial census.  `count_two_cap_compositions` caps some
+parts one lower, which counts the integer lifts of a residue vector
+mod p.  Every count is a plain Python int, so
 nothing here can overflow or pass through floating point.
 """
 
@@ -69,4 +71,35 @@ def count_bounded_compositions(q: CompositionQuery) -> int:
             break
         term = _choose(n, j) * _choose(rem + n - 1, n - 1)
         total += -term if j & 1 else term
+    return total
+
+
+def count_two_cap_compositions(parts: int, target: int, cap: int, short: int) -> int:
+    """Tuples of `parts` nonnegative parts with sum `target`, `short` of them
+    at most cap - 1 and the other parts - short at most cap.
+
+    Inclusion-exclusion on i short and j other parts overflowing:
+
+        sum_{i,j} (-1)^(i+j) C(k, i) C(n-k, j) C(S - i*H - j(H+1) + n - 1, n - 1)
+
+    With cap = 0 the short parts are capped at -1 and admit no value, so
+    the count is 0 unless short = 0.  A negative target also counts 0.
+    """
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    if not 0 <= short <= parts:
+        raise ValueError(f"short must lie in [0, {parts}], got {short}")
+    n, S, H, k = parts, target, cap, short
+    if S < 0 or S > n * H - k or (k and H == 0):
+        return 0
+    total = 0
+    for i in range(k + 1):
+        for j in range(n - k + 1):
+            rem = S - i * H - j * (H + 1)
+            if rem < 0:
+                break
+            term = _choose(k, i) * _choose(n - k, j) * _choose(rem + n - 1, n - 1)
+            total += -term if (i + j) & 1 else term
     return total

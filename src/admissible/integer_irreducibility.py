@@ -8,8 +8,7 @@ needed.  The decision runs in four stages:
 1. a_0 = 0 peels off a factor of x (for degree >= 2).
 2. Linear factors: x + b can divide f only if b | a_0 and
    1 + b | f(1).  Each such b in the Mignotte box is tried, so a
-   polynomial of degree <= 3 is decided here.  The whole box, every
-   degree m <= deg f / 2, is counted against SEARCH_LIMIT first.
+   polynomial of degree <= 3 is decided here.
 3. Factor-degree sets mod the primes of FACTOR_DEGREE_PRIMES, in order:
    a monic factor of degree m over Z stays a monic divisor of degree m
    mod every p, so only the degrees 2 <= m <= deg f / 2 found at every
@@ -21,6 +20,10 @@ needed.  The decision runs in four stages:
    finite.  Within it only candidates with g(1) | f(1) and
    g(-1) | f(-1) are divided out, and the top coefficient is solved
    from the first condition.
+
+Before stage 2, the candidates f may need, the linear ones and those of
+the degrees stage 3 leaves, are counted against SEARCH_LIMIT.  Stage 3
+runs first only when the whole box is past the limit.
 
 Every stage only drops candidates that cannot divide f, and the box is
 searched degree by degree, so the witness is the first divisor of the
@@ -45,8 +48,9 @@ from .polynomials import MonicIntPolynomial, enumerate_admissible
 # Primes whose factor-degree sets are intersected, in this order.
 FACTOR_DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
-# Most candidate factors the Mignotte box of one polynomial may hold; the
-# box is counted before any prime is tried, so the limit depends on f alone.
+# Most candidate factors one polynomial may need from its Mignotte box:
+# the linear ones, plus those of the degrees its factor-degree sets leave;
+# they are counted before any is tried.
 SEARCH_LIMIT = 10**9
 
 
@@ -113,10 +117,11 @@ def _irreducible_mod(f: MonicIntPolynomial, p: int) -> int:
 def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     """Exact irreducibility verdict over Z, with witness when reducible.
 
-    Raises FeasibilityError ("search space exceeded") when the Mignotte
-    box of f holds more than SEARCH_LIMIT candidate factors.  The box is
-    counted before any prime is tried, so the limit depends on f alone;
-    it never returns a wrong answer.
+    Raises FeasibilityError ("search space exceeded") when the part of
+    the Mignotte box that f needs holds more than SEARCH_LIMIT candidate
+    factors: the linear candidates plus those of the degrees its
+    factor-degree sets leave open, counted before any is tried.  It
+    never returns a wrong answer.
     """
     n = f.degree
     if n == 1:
@@ -126,44 +131,61 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
         h = MonicIntPolynomial(n - 1, f.coeffs[1:])
         return FactorizationWitness("reducible", (g, h))
     box = _mignotte_box(f)
+    degrees = None
+    if sum(map(_part_size, box)) > SEARCH_LIMIT:
+        # Only then do the degree sets have to come before the linear factors.
+        degrees = _open_degrees(f)
+        _check_search_space(box[:1] + [part for part in box[1:] if degrees >> part[0] & 1])
     full = list(f.all_coefficients())
     at_one = sum(full)
     # x + b in box order (b | a_0, |b| <= ||f||_2), where g(1) = 1 + b must divide f(1).
     linear = _first_factor(full, 1, ([b, 1] for b in box[0][2] if _divides(1 + b, at_one)))
     if linear is not None:
         return linear
-    degrees = (2 << n // 2) - 4  # bits 2..n/2: the factor degrees still open
-    for p in FACTOR_DEGREE_PRIMES:
-        if not degrees:
-            break
-        degrees &= _irreducible_mod(f, p)
+    if degrees is None:
+        degrees = _open_degrees(f)
     if not degrees:
         return FactorizationWitness("irreducible")
     return _bounded_factor_search(f, [part for part in box if degrees >> part[0] & 1])
 
 
+def _open_degrees(f: MonicIntPolynomial) -> int:
+    # Bits 2..n/2 left in the factor-degree sets of f mod FACTOR_DEGREE_PRIMES.
+    degrees = (2 << f.degree // 2) - 4
+    for p in FACTOR_DEGREE_PRIMES:
+        if not degrees:
+            break
+        degrees &= _irreducible_mod(f, p)
+    return degrees
+
+
 def _mignotte_box(f: MonicIntPolynomial) -> list[tuple[int, list[int], list[int]]]:
-    # (m, coefficient bounds, constant terms) of the candidate factors of each
-    # degree m <= n/2, after checking their total count against SEARCH_LIMIT.
+    # (m, coefficient bounds, constant terms) of the candidate factors of
+    # each degree m <= n/2.  Mignotte: |g_i| <= C(m-1, i)*||f||_2 +
+    # C(m-1, i-1) for any factor of degree m (f monic), so every degree
+    # shares the constant terms: the divisors of a_0 up to ||f||_2.
     full = f.all_coefficients()
     norm = _ceil_sqrt(sum(c * c for c in full))
+    divisors = _signed_divisors(full[0], norm)
+    return [(m, [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)], divisors)
+            for m in range(1, f.degree // 2 + 1)]
+
+
+def _part_size(part: tuple[int, list[int], list[int]]) -> int:
+    # The number of candidate factors of one degree of the box.
+    _, bounds, divisors = part
+    return len(divisors) * math.prod(2 * b + 1 for b in bounds[1:])
+
+
+def _check_search_space(box: list[tuple[int, list[int], list[int]]]) -> None:
+    # Count the candidates of `box` degree by degree against SEARCH_LIMIT.
     candidates = 0
-    box = []
-    for m in range(1, f.degree // 2 + 1):
-        # Mignotte: |g_i| <= C(m-1, i)*||f||_2 + C(m-1, i-1) for any factor
-        # of degree m (leading coefficient of f is 1).
-        bounds = [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)]
-        divisors = _signed_divisors(full[0], bounds[0])
-        count = len(divisors)
-        for b in bounds[1:]:
-            count *= 2 * b + 1
-        candidates += count
+    for part in box:
+        candidates += _part_size(part)
         if candidates > SEARCH_LIMIT:
             raise FeasibilityError(
                 f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
             )
-        box.append((m, bounds, divisors))
-    return box
 
 
 def _divides(d: int, value: int) -> bool:

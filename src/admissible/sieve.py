@@ -1,11 +1,15 @@
 """Prime sieving, the Turan sieve inequality, and the sifting pipeline.
 
 The sifting sets here are "irreducible mod p": an admissible polynomial
-belongs to A_p when its reduction mod p is irreducible.  One membership
-pass counts the polynomials by their bitmask of A_p memberships over the
-primes below z; member counts, pairwise intersection counts and the
-sifted count are all read off that histogram, exactly.  The bound is
-evaluated in exact rational arithmetic, so a violation means a bug.
+belongs to A_p when its reduction mod p is irreducible.  The polynomials
+are counted by their bitmask of A_p memberships over the primes below z;
+member counts, pairwise intersection counts and the sifted count are all
+read off that histogram, exactly.  The histogram comes from testing every
+polynomial, or, for a Turan instance when it is cheaper, by residue
+class: membership in A_p depends on f mod p only, so it tests the
+residue vectors mod p and counts the integer lifts of each in closed
+form.  The bound is evaluated in exact rational arithmetic, so a
+violation means a bug.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
+from .combinatorics import count_two_cap_compositions
 from .errors import FeasibilityError
 from .finite_field import TABLE_LIMIT, irreducibility_tester
 from .integer_irreducibility import count_admissible_irreducible
@@ -24,6 +29,7 @@ from .polynomials import (
     check_degree,
     count_admissible_exact,
     enumerate_admissible,
+    target_sum,
 )
 
 # Largest integer the prime sieve marks; beyond it the bytearray and the
@@ -35,10 +41,13 @@ SIEVE_LIMIT = 10**7
 # each already takes seconds, and 9,592 primes would mean a 46M-entry table.
 INSTANCE_PRIME_LIMIT = 500
 
-# Most direct tests an instance may need: the ambient size times the
-# primes below z with p^degree > TABLE_LIMIT, which get no lookup table.
+# Most direct tests an instance may need at the primes below z with
+# p^degree > TABLE_LIMIT, which get no lookup table: the ambient size per
+# such prime when every polynomial is tested, or the residue vectors of
+# each pass per such prime it tests when counting by residue class.
 # One degree-4 test took 0.1 ms (p near 17) to 0.4 ms (p near 3,571) on
-# a 2 vCPU Intel Xeon with Python 3.11, so this is about 8 s at most.
+# a 2 vCPU Intel Xeon with Python 3.11, so this is about 8 s at most; at
+# degree 6, the 16,807 tests mod 7 take 2.3 s.
 DIRECT_TEST_LIMIT = 20_000
 
 # The Chebyshev audit's band for pi(z) * ln(z) / z, from z = 17 on.
@@ -243,28 +252,111 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     return _membership_histogram(ambient, primes_below(z), first_hit=True).get(0, 0)
 
 
-def _sifting_problem(degree: int, height: int, z: int) -> tuple[TuranInstance, dict[int, int]]:
-    # The Turan instance at level z and the membership histogram it was read from.
+def _capped_power(p: int, exponent: int, bound: int) -> int:
+    # p^exponent for p >= 2, or some power of p past `bound` when p^exponent
+    # is: the exponent is cut at bound's bit length, so huge powers are
+    # never built just to be compared.
+    return p ** min(exponent, bound.bit_length())
+
+
+def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:
+    # The primes below z, after the checks every Turan instance shares.
     if degree < 2:
         raise ValueError(f"instance needs degree >= 2, got {degree}")
-    check_degree(degree)  # before p^degree below
+    check_degree(degree)  # before any p^degree
     primes = primes_below(z)
     if len(primes) > INSTANCE_PRIME_LIMIT:
         raise FeasibilityError(f"sieve level too large: {len(primes)} primes below {z} "
                                f"exceed limit {INSTANCE_PRIME_LIMIT}")
-    untabled = sum(p**degree > TABLE_LIMIT for p in primes)
-    if untabled:
-        tests = count_admissible_exact(degree, height) * untabled
-        if tests > DIRECT_TEST_LIMIT:
-            raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
-                                   f"without a table exceed limit {DIRECT_TEST_LIMIT}")
-    histogram = _membership_histogram(enumerate_admissible(degree, height), primes)
+    return primes
+
+
+def _check_direct_tests(tests: int) -> None:
+    if tests > DIRECT_TEST_LIMIT:
+        raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
+                               f"without a table exceed limit {DIRECT_TEST_LIMIT}")
+
+
+def _untabled(degree: int, primes: tuple[int, ...]) -> list[int]:
+    # The primes whose degree-n polynomials get no lookup table.
+    return [p for p in primes if _capped_power(p, degree, TABLE_LIMIT) > TABLE_LIMIT]
+
+
+def _enumerated_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
+    # The membership histogram by testing every admissible polynomial at
+    # every prime: N(H) tests, direct ones at the primes without a table.
+    _check_direct_tests(count_admissible_exact(degree, height) * len(_untabled(degree, primes)))
+    return _membership_histogram(enumerate_admissible(degree, height), primes)
+
+
+def _slice_histogram(degree: int, height: int, modulus: int,
+                     testers: list[tuple[int, Callable[[Sequence[int]], bool]]]) -> dict[int, int]:
+    # {mask: count} over the admissible polynomials, from the
+    # modulus^(degree-1) residue vectors r mod `modulus` on the slice
+    # sum(r) = degree! - 1 (mod modulus).  Each (bit, test) must depend on
+    # f mod `modulus` only.  The lifts a_i = r_i + modulus * q_i in
+    # [0, height] have sum(q) = (degree! - 1 - sum(r)) / modulus, with q_i
+    # capped at height // modulus, less one when r_i > height % modulus;
+    # so vectors with equal (mask, sum(r), number of such r_i) share one
+    # two-cap composition count.
+    target = target_sum(degree)
+    cap, rest = divmod(height, modulus)
+    groups: dict[tuple[int, int, int], int] = {}
+    for tail in itertools.product(range(modulus), repeat=degree - 1):
+        r = ((target - sum(tail)) % modulus, *tail)
+        mask = 0
+        for bit, test in testers:
+            if test(r):
+                mask |= bit
+        key = (mask, sum(r), sum(c > rest for c in r))
+        groups[key] = groups.get(key, 0) + 1
+    histogram: dict[int, int] = {}
+    for (mask, total, short), vectors in groups.items():
+        lifts = count_two_cap_compositions(degree, (target - total) // modulus, cap, short)
+        if lifts:
+            histogram[mask] = histogram.get(mask, 0) + vectors * lifts
+    return histogram
+
+
+def _residue_passes(degree: int, primes: tuple[int, ...], bound: int) -> dict[int, int]:
+    # {modulus: residue vectors} of the passes the residue route may make:
+    # one mod each prime, and one mod the product of the primes above the
+    # degree when two or more could have a non-empty A_p.  Sizes past
+    # `bound` are only known to be past it.
+    moduli = list(primes)
+    sifting = [p for p in primes if p > degree]
+    if len(sifting) > 1:
+        moduli.append(math.prod(sifting))
+    return {m: _capped_power(m, degree - 1, bound) for m in moduli}
+
+
+def _residue_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
+    # The membership histogram by residue class, since membership in A_p
+    # depends on f mod p only.  One pass mod each prime counts |A_p|; A_p
+    # is empty for p <= degree, where f(1) = degree! makes x - 1 a factor.
+    # Only two or more non-empty A_p need one more pass, mod the product
+    # of their primes, for the masks they share.
+    testers = [(1 << i, irreducibility_tester(p, degree)) for i, p in enumerate(primes)]
+    passes = [_slice_histogram(degree, height, p, [tester]) for p, tester in zip(primes, testers)]
+    hit = [i for i, (bit, _) in enumerate(testers) if bit in passes[i]]
+    for i in hit:
+        if primes[i] <= degree:
+            raise RuntimeError(f"A_{primes[i]} is not empty at degree {degree}; this is a bug")
+    if len(hit) == 1:
+        return passes[hit[0]]
+    modulus = math.prod(primes[i] for i in hit)
+    return _slice_histogram(degree, height, modulus, [testers[i] for i in hit])
+
+
+def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
+                    histogram: dict[int, int]) -> TuranInstance:
+    # The Turan instance read off a membership histogram over `primes`.
     pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i:]}
     for mask, count in histogram.items():
         hits = [p for i, p in enumerate(primes) if mask >> i & 1]
         for key in itertools.combinations_with_replacement(hits, 2):
             pair[key] += count
-    instance = TuranInstance(
+    return TuranInstance(
         ambient_size=sum(histogram.values()),
         z=z,
         primes=primes,
@@ -272,20 +364,36 @@ def _sifting_problem(degree: int, height: int, z: int) -> tuple[TuranInstance, d
         member_counts={p: pair[(p, p)] for p in primes},
         pair_counts=pair,
     )
-    return instance, histogram
 
 
 def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance:
     """Materialize the sifting problem for the admissible set at level z.
 
-    Densities are all 1/degree; member and pairwise counts are exact,
-    obtained by testing every admissible polynomial mod every prime
-    below z.  The closed-form remainder shapes belong to the pipeline
-    report, never to this instance.  Raises FeasibilityError ("sieve
-    level too large") past INSTANCE_PRIME_LIMIT primes below z, and
-    ("sieve work too large") past DIRECT_TEST_LIMIT direct tests.
+    Densities are all 1/degree; member and pairwise counts are exact.
+    They come from the cheaper of two routes: testing all N(H)
+    admissible polynomials at each of the pi(z) primes below z, or
+    counting by residue class, since membership in A_p depends on f mod
+    p only.  The residue route tests the p^(degree-1) residue vectors
+    mod each prime p on the slice of coefficient sum degree! - 1, and
+    counts the lifts of each with one composition count; when two or
+    more primes above the degree lie below z, it may also need the
+    vectors mod their product.  The closed-form remainder shapes belong
+    to the pipeline report, never to this instance.  Raises
+    FeasibilityError ("sieve level too large") past INSTANCE_PRIME_LIMIT
+    primes below z, and ("sieve work too large") when the chosen route
+    needs more than DIRECT_TEST_LIMIT direct tests.
     """
-    return _sifting_problem(degree, height, z)[0]
+    primes = _sieve_primes(degree, z)
+    enumerated = count_admissible_exact(degree, height) * len(primes)
+    passes = _residue_passes(degree, primes, enumerated)
+    if sum(passes.values()) < enumerated:
+        untabled = _untabled(degree, primes)
+        _check_direct_tests(sum(size * sum(m % p == 0 for p in untabled)
+                                for m, size in passes.items()))
+        histogram = _residue_histogram(degree, height, primes)
+    else:
+        histogram = _enumerated_histogram(degree, height, primes)
+    return _turan_instance(degree, z, primes, histogram)
 
 
 def sieve_level(height: int) -> int:
@@ -352,7 +460,10 @@ def pipeline_lower_bound(
     reducible polynomial survives the sifting.  The closed-form N(H)
     behind the remainders must also equal the enumerated ambient size
     behind the bound.  Violations raise RuntimeError because they can
-    only be implementation bugs.
+    only be implementation bugs.  A(H) comes from its own enumeration
+    of all N(H) polynomials, so counting by residue class could not lower
+    the order of the pipeline's cost: its sieve tests every polynomial,
+    which keeps N(H) checked against an enumeration.
     """
     if degree < 3:
         raise ValueError(f"pipeline requires degree >= 3, got {degree}")
@@ -362,7 +473,9 @@ def pipeline_lower_bound(
     if z is None:
         z = sieve_level(height) if height >= 2 else 1
 
-    instance, histogram = _sifting_problem(degree, height, z)
+    primes = _sieve_primes(degree, z)
+    histogram = _enumerated_histogram(degree, height, primes)
+    instance = _turan_instance(degree, z, primes, histogram)
     sifted = histogram.get(0, 0)
     ambient_count = count_admissible_exact(degree, height)
     bound = turan_upper_bound(instance) if instance.primes else None

@@ -39,6 +39,27 @@ def brute_count_tuples(parts: int, target: int, cap: int) -> int:
     )
 
 
+def brute_count_capped_tuples(target: int, caps: list[int]) -> int:
+    """Count tuples with 0 <= t_i <= caps[i] and the given sum, by full enumeration.
+
+    A cap of -1 leaves its part no value, so the count is then 0.
+    """
+    return sum(
+        1 for t in itertools.product(*(range(c + 1) for c in caps)) if sum(t) == target
+    )
+
+
+def brute_residue_lifts(residues: tuple[int, ...], modulus: int, target: int,
+                        height: int) -> int:
+    """Integer tuples a in [0, height]^n with a = residues (mod modulus) and sum `target`.
+
+    Walks every a_i = r_i, r_i + modulus, ... up to height; no caps are
+    derived, no composition is counted.
+    """
+    ranges = [range(r, height + 1, modulus) for r in residues]
+    return sum(1 for a in itertools.product(*ranges) if sum(a) == target)
+
+
 def brute_admissible_vectors(n: int, height: int) -> list[tuple[int, ...]]:
     """All (a_0..a_{n-1}) with sum n!-1 and entries <= height, in lex order."""
     target = math.factorial(n) - 1

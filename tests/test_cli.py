@@ -196,8 +196,11 @@ def test_feasibility_errors_exit_3(run_cli):
         (["enumerate", "--degree", "6", "--height", "200"], "enumeration too large"),
         (["irr-count", "--degree", "6", "--height", "200"], "enumeration too large"),
         (["sieve", "--degree", "6", "--height", "200", "--z", "4"], "enumeration too large"),
-        # The first septic of height 720 needs 1,745,133,540 candidates.
-        (["irr-count", "--degree", "7", "--height", "720"], "search space exceeded"),
+        # The first octic of height 5040 keeps factor degrees 2, 3 and 4 at
+        # every prime; its candidates of degree <= 3 already number 6,504,157,436.
+        (["irr-count", "--degree", "8", "--height", "5040"], "search space exceeded"),
+        # The pipeline's sieve enumerates: 142,506 sextics, each tested at p = 7.
+        (["sieve", "--degree", "6", "--height", "124"], "sieve work too large"),
     ):
         proc = run_cli(*argv, expect_code=3)
         assert proc.stdout == b""

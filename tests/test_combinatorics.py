@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,10 +9,17 @@ from admissible.combinatorics import (
     CompositionQuery,
     binomial,
     count_bounded_compositions,
+    count_two_cap_compositions,
 )
 from admissible.errors import FeasibilityError
 
-from oracles import brute_count_tuples, brute_force_compositions, pascal_binomial
+from oracles import (
+    brute_count_capped_tuples,
+    brute_count_tuples,
+    brute_force_compositions,
+    brute_residue_lifts,
+    pascal_binomial,
+)
 
 
 def test_binomial_anchors():
@@ -118,3 +126,42 @@ def test_query_cap_message():
 def test_query_cap_is_required():
     with pytest.raises(TypeError):
         CompositionQuery(4, 9)
+
+
+def test_two_cap_count_matches_per_part_caps():
+    # Short parts capped at cap - 1, the others at cap: cap 0 makes the
+    # short cap -1 (no value), and short runs over 0..parts.
+    for parts in range(1, 5):
+        for cap in range(4):
+            for short in range(parts + 1):
+                caps = [cap - 1] * short + [cap] * (parts - short)
+                for target in range(-1, parts * cap + 2):
+                    want = brute_count_capped_tuples(target, caps)
+                    got = count_two_cap_compositions(parts, target, cap, short)
+                    assert got == want, (parts, target, cap, short)
+
+
+def test_two_cap_count_without_short_parts_is_the_bounded_count():
+    for parts, target, cap in [(3, 5, 2), (5, 24, 10), (6, 719, 130), (4, 0, 0)]:
+        assert count_two_cap_compositions(parts, target, cap, 0) == count_bounded_compositions(
+            CompositionQuery(parts=parts, target=target, cap=cap))
+
+
+def test_two_cap_count_counts_residue_lifts():
+    # The lifts a = r + m*q in [0, H] with sum T: q_i <= H // m, less one
+    # where r_i > H % m, and sum(q) = (T - sum(r)) / m.  Vectors whose sum
+    # is not T mod m (a target that is not divisible) have no lift.
+    for n, m, height, total in [(3, 2, 5, 5), (3, 3, 7, 5), (4, 3, 5, 11), (3, 5, 12, 23),
+                                (3, 4, 2, 5), (2, 3, 0, 1)]:
+        cap, rest = divmod(height, m)
+        for r in itertools.product(range(m), repeat=n):
+            excess, stray = divmod(total - sum(r), m)
+            short = sum(c > rest for c in r)
+            want = 0 if stray else count_two_cap_compositions(n, excess, cap, short)
+            assert brute_residue_lifts(r, m, total, height) == want, (n, m, height, r)
+
+
+def test_two_cap_count_validation():
+    for args in [(0, 3, 2, 0), (3, 3, -1, 0), (3, 3, 2, 4), (3, 3, 2, -1)]:
+        with pytest.raises(ValueError):
+            count_two_cap_compositions(*args)

@@ -47,6 +47,8 @@ CASES = [
     *_both("irr-count --degree 3 --height 2"),
     *_both("irr-count --degree 3 --height 6"),
     *_both("irr-count --degree 3 --height 1"),
+    # every septic of height 720 has empty factor-degree sets: no search
+    "irr-count --degree 7 --height 720",
     *_both("sieve --degree 3 --height 6 --z 4"),
     *_both("sieve --degree 3 --height 6"),
     *_both("sieve --degree 3 --height 8 --z 8"),
@@ -82,7 +84,8 @@ CASES = [
     "enumerate --degree 6 --height 200",
     "irr-count --degree 6 --height 200",
     "sieve --degree 6 --height 200 --z 4",
-    "irr-count --degree 7 --height 720",
+    "sieve --degree 6 --height 124",
+    "irr-count --degree 8 --height 5040",
     "count --degree 100001 --height 1",
     "enumerate --degree 100001 --height 1",
     "irr-count --degree 100001 --height 1",

@@ -113,6 +113,18 @@ def test_search_limit_is_inclusive(monkeypatch):
         is_irreducible_over_z(f)
 
 
+def test_search_limit_counts_only_the_degrees_left_open():
+    # x^7 + 10000x^6 + x + 1 is irreducible mod 2, so only its two linear
+    # candidates count; its whole box holds 1,600,880,110.
+    f = MonicIntPolynomial(7, (1, 1, 0, 0, 0, 0, 10000))
+    assert is_irreducible_over_z(f).irreducible
+    # x^8 + 5040(x^7 + ... + x) + 5039 keeps degrees 2, 3 and 4 at every
+    # prime; it is refused before its linear factor x + 1 is tried.
+    g = MonicIntPolynomial(8, (5039,) + (5040,) * 7)
+    with pytest.raises(FeasibilityError, match="search space exceeded: 6504157436 candidates"):
+        is_irreducible_over_z(g)
+
+
 def test_witness_type_validation():
     with pytest.raises(ValueError):
         FactorizationWitness("maybe")

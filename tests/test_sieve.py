@@ -368,3 +368,102 @@ def test_direct_test_limit_is_inclusive(monkeypatch):
     _assert_sieve_data_matches_brute_force(4, 6, 18)
     with pytest.raises(FeasibilityError, match="8 direct tests .* exceed limit 4"):
         build_admissible_instance(4, 6, 20)
+
+
+def test_residue_route_matches_enumeration_on_grids():
+    # z = 8 and 11 give the pass mod 35 at degrees 3 and 4 (A_5, A_7 both
+    # non-empty); at degree 5 only A_7 is non-empty below 11.
+    grids = [
+        (3, range(9), (1, 2, 3, 4, 6, 8, 11)),
+        (4, (5, 6, 7, 9, 10), (2, 4, 6, 8, 11)),
+        (5, (24, 25, 27), (6, 8, 11)),
+    ]
+    for n, heights, levels in grids:
+        for h in heights:
+            for z in levels:
+                primes = primes_below(z)
+                by_residue = sieve._residue_histogram(n, h, primes)
+                assert by_residue == sieve._enumerated_histogram(n, h, primes), (n, h, z)
+
+
+def test_residue_route_product_pass_at_the_smoke_instance():
+    # (4, 10, 8): A_5 and A_7 are both non-empty, so the masks come from
+    # the 35^3 residue vectors mod 35; bits 2 and 3 stand for 5 and 7.
+    histogram = {0: 419, 0b0100: 157, 0b1000: 158, 0b1100: 70}
+    assert sieve._residue_histogram(4, 10, primes_below(8)) == histogram
+
+
+def test_residue_route_at_degree_6():
+    # 16,807 distinct-degree factorizations mod 7.  Enumeration, with 42,504
+    # of them (past DIRECT_TEST_LIMIT, and seconds more), gives the same 8,495.
+    inst = build_admissible_instance(6, 123, 8)
+    assert inst.ambient_size == 42_504
+    assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 8495}
+
+
+def test_residue_route_flags_a_non_empty_a_p_below_the_degree(monkeypatch):
+    # f(1) = n! makes x - 1 a factor mod every p <= n; a tester that says
+    # otherwise can only be a bug.
+    monkeypatch.setattr(sieve, "irreducibility_tester", lambda p, degree: lambda coeffs: True)
+    with pytest.raises(RuntimeError, match="A_2 is not empty at degree 4; this is a bug"):
+        sieve._residue_histogram(4, 10, (2,))
+
+
+def test_cost_model_picks_the_cheaper_route(monkeypatch):
+    routes = []
+    real = enumerate_admissible
+
+    def counted_enumerate(*args):
+        routes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
+    # (5, 36, 8): 2^4 + 3^4 + 5^4 + 7^4 = 3,123 residue vectors against
+    # 574,665 * 4 tests, and A_7 alone is non-empty.
+    inst = build_admissible_instance(5, 36, 8)
+    assert routes == []
+    assert inst.ambient_size == 574_665
+    assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 130_179}
+    assert inst.pair_counts[(7, 7)] == 130_179
+    assert all(c == 0 for key, c in inst.pair_counts.items() if key != (7, 7))
+    assert turan_upper_bound(inst) == Fraction(37_194_885, 16)
+    # (4, 10, 8): 804 * 4 tests against 8 + 27 + 125 + 343 + 35^3 vectors.
+    inst = build_admissible_instance(4, 10, 8)
+    assert routes == [(4, 10)]
+    assert inst.pair_counts[(5, 7)] == 70
+    assert turan_upper_bound(inst) == 2711
+
+
+def test_residue_route_answers_6_130_9(monkeypatch):
+    # Enumeration would take 8,936,928 direct tests at p = 7; the residue
+    # route takes 7^5 = 16,807, within DIRECT_TEST_LIMIT.
+    monkeypatch.setattr(sieve, "DIRECT_TEST_LIMIT", 16_806)
+    with pytest.raises(FeasibilityError, match="16807 direct tests .* exceed limit 16806"):
+        build_admissible_instance(6, 130, 9)
+    monkeypatch.undo()
+    assert sieve.DIRECT_TEST_LIMIT >= 16_807
+    inst = build_admissible_instance(6, 130, 9)
+    assert inst.ambient_size == count_admissible_exact(6, 130) == 8_936_928
+    assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 1_754_907}
+
+
+def test_pipeline_limits_are_checked_before_any_membership_test(monkeypatch):
+    # The pipeline enumerates A(H), and its sieve takes the enumeration
+    # route with it, so these still stop before any tester is built.
+    def no_tester(p, degree):
+        raise AssertionError("a tester was built past a limit")
+
+    monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
+    with pytest.raises(FeasibilityError, match="sieve work too large: 142506 direct tests"):
+        pipeline_lower_bound(6, 124)
+    with pytest.raises(FeasibilityError, match="enumeration too large: 131035104180 "):
+        pipeline_lower_bound(6, 200, z_override=4)
+
+
+def test_route_costs_build_no_huge_prime_powers():
+    # 3571^100000 has 355,000 digits; building it for each of the 500
+    # primes took over 20 s just to compare with TABLE_LIMIT.
+    start = time.process_time()
+    inst = build_admissible_instance(100_000, 1, 3572)
+    assert inst.ambient_size == 0 and len(inst.primes) == 500
+    assert time.process_time() - start < 5
