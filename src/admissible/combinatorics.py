@@ -52,26 +52,12 @@ def binomial(n: int, k: int) -> int:
 def count_bounded_compositions(q: CompositionQuery) -> int:
     """Exact number of tuples (a_1, ..., a_parts) with sum `target` and 0 <= a_i <= cap.
 
-    Inclusion-exclusion on the number of parts overflowing the cap:
+    The two-cap count with no short parts: inclusion-exclusion on the
+    number of parts overflowing the cap,
 
-        sum_j (-1)^j C(n, j) C(S - j(H+1) + n - 1, n - 1)
-
-    Terms whose upper index goes negative vanish.  With cap >= target the
-    j >= 1 terms are all zero and this reduces to C(S + n - 1, n - 1).
-    A target above parts * cap is answered 0 up front: the alternating sum
-    would also reach 0, but only after n + 1 huge binomials.
+        sum_j (-1)^j C(n, j) C(S - j(H+1) + n - 1, n - 1).
     """
-    n, S, H = q.parts, q.target, q.cap
-    if S > n * H:
-        return 0
-    total = 0
-    for j in range(n + 1):
-        rem = S - j * (H + 1)
-        if rem < 0:
-            break
-        term = _choose(n, j) * _choose(rem + n - 1, n - 1)
-        total += -term if j & 1 else term
-    return total
+    return count_two_cap_compositions(q.parts, q.target, q.cap, 0)
 
 
 def count_two_cap_compositions(parts: int, target: int, cap: int, short: int) -> int:
@@ -82,8 +68,11 @@ def count_two_cap_compositions(parts: int, target: int, cap: int, short: int) ->
 
         sum_{i,j} (-1)^(i+j) C(k, i) C(n-k, j) C(S - i*H - j(H+1) + n - 1, n - 1)
 
-    With cap = 0 the short parts are capped at -1 and admit no value, so
-    the count is 0 unless short = 0.  A negative target also counts 0.
+    Terms whose upper index goes negative vanish.  A target above
+    parts * cap - short is answered 0 up front: the alternating sum would
+    also reach 0, but only after many huge binomials.  With cap = 0 the
+    short parts are capped at -1 and admit no value, so the count is 0
+    unless short = 0.  A negative target also counts 0.
     """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")

@@ -21,9 +21,9 @@ needed.  The decision runs in four stages:
    g(-1) | f(-1) are divided out, and the top coefficient is solved
    from the first condition.
 
-Before stage 2, the candidates f may need, the linear ones and those of
-the degrees stage 3 leaves, are counted against SEARCH_LIMIT.  Stage 3
-runs first only when the whole box is past the limit.
+The degree sets of stage 3 are computed before stage 2, so that the
+candidates f may need, the linear ones and those of the degrees stage 3
+leaves, are counted against SEARCH_LIMIT before any is tried.
 
 Every stage only drops candidates that cannot divide f, and the box is
 searched degree by degree, so the witness is the first divisor of the
@@ -131,19 +131,14 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
         h = MonicIntPolynomial(n - 1, f.coeffs[1:])
         return FactorizationWitness("reducible", (g, h))
     box = _mignotte_box(f)
-    degrees = None
-    if sum(map(_part_size, box)) > SEARCH_LIMIT:
-        # Only then do the degree sets have to come before the linear factors.
-        degrees = _open_degrees(f)
-        _check_search_space(box[:1] + [part for part in box[1:] if degrees >> part[0] & 1])
+    degrees = _open_degrees(f)
+    _check_search_space(box[:1] + [part for part in box[1:] if degrees >> part[0] & 1])
     full = list(f.all_coefficients())
     at_one = sum(full)
     # x + b in box order (b | a_0, |b| <= ||f||_2), where g(1) = 1 + b must divide f(1).
     linear = _first_factor(full, 1, ([b, 1] for b in box[0][2] if _divides(1 + b, at_one)))
     if linear is not None:
         return linear
-    if degrees is None:
-        degrees = _open_degrees(f)
     if not degrees:
         return FactorizationWitness("irreducible")
     return _bounded_factor_search(f, [part for part in box if degrees >> part[0] & 1])
@@ -171,17 +166,11 @@ def _mignotte_box(f: MonicIntPolynomial) -> list[tuple[int, list[int], list[int]
             for m in range(1, f.degree // 2 + 1)]
 
 
-def _part_size(part: tuple[int, list[int], list[int]]) -> int:
-    # The number of candidate factors of one degree of the box.
-    _, bounds, divisors = part
-    return len(divisors) * math.prod(2 * b + 1 for b in bounds[1:])
-
-
 def _check_search_space(box: list[tuple[int, list[int], list[int]]]) -> None:
     # Count the candidates of `box` degree by degree against SEARCH_LIMIT.
     candidates = 0
-    for part in box:
-        candidates += _part_size(part)
+    for _, bounds, divisors in box:
+        candidates += len(divisors) * math.prod(2 * b + 1 for b in bounds[1:])
         if candidates > SEARCH_LIMIT:
             raise FeasibilityError(
                 f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"

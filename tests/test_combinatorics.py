@@ -141,12 +141,6 @@ def test_two_cap_count_matches_per_part_caps():
                     assert got == want, (parts, target, cap, short)
 
 
-def test_two_cap_count_without_short_parts_is_the_bounded_count():
-    for parts, target, cap in [(3, 5, 2), (5, 24, 10), (6, 719, 130), (4, 0, 0)]:
-        assert count_two_cap_compositions(parts, target, cap, 0) == count_bounded_compositions(
-            CompositionQuery(parts=parts, target=target, cap=cap))
-
-
 def test_two_cap_count_counts_residue_lifts():
     # The lifts a = r + m*q in [0, H] with sum T: q_i <= H // m, less one
     # where r_i > H % m, and sum(q) = (T - sum(r)) / m.  Vectors whose sum
