@@ -9,6 +9,7 @@ closed-form bounds claimed for that count instead of assuming them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,9 +94,6 @@ class MonicIntPolynomial:
     def text(self) -> str:
         return poly_text(self.all_coefficients())
 
-    def as_json_dict(self) -> dict:
-        return {"degree": self.degree, "coeffs": list(self.coeffs)}
-
 
 def is_admissible(coeffs_with_leading: Iterable[int]) -> bool:
     """True iff the coefficients sum to degree!, the leading one included.
@@ -130,23 +128,26 @@ def count_admissible_exact(degree: int, height: int) -> int:
 def _bounded_vectors(parts: int, target: int, cap: int) -> Iterator[tuple[int, ...]]:
     # Ascending lexicographic enumeration of capped compositions.  Each
     # position ranges over exactly the values that leave the tail feasible,
-    # so no candidate is ever generated and discarded.
-    buf = [0] * parts
+    # so no candidate is ever generated and discarded.  The first parts - 2
+    # positions are chosen recursively; each such prefix then yields its
+    # last two positions as one list, which keeps the generator chain off
+    # the per-vector path.
+    if target > parts * cap:
+        return iter(())
+    if parts == 1:
+        return iter([(target,)])
 
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        slots = parts - i
-        if slots == 1:
-            buf[i] = remaining
-            yield tuple(buf)
+    def prefixes(prefix: tuple[int, ...], remaining: int) -> Iterator[list[tuple[int, ...]]]:
+        slots = parts - len(prefix)
+        if slots == 2:
+            yield [prefix + (a, remaining - a)
+                   for a in range(max(0, remaining - cap), min(cap, remaining) + 1)]
             return
         lo = max(0, remaining - (slots - 1) * cap)
         for a in range(lo, min(cap, remaining) + 1):
-            buf[i] = a
-            yield from rec(i + 1, remaining - a)
+            yield from prefixes(prefix + (a,), remaining - a)
 
-    if target > parts * cap:
-        return iter(())
-    return rec(0, target)
+    return itertools.chain.from_iterable(prefixes((), target))
 
 
 def enumerate_admissible(degree: int, height: int) -> Iterator[MonicIntPolynomial]:
@@ -164,7 +165,7 @@ def enumerate_admissible(degree: int, height: int) -> Iterator[MonicIntPolynomia
             f"enumeration too large: {total} admissible polynomials exceed limit {ENUM_LIMIT}"
         )
     vectors = _bounded_vectors(degree, target_sum(degree), height)
-    return (MonicIntPolynomial(degree, vec) for vec in vectors)
+    return map(MonicIntPolynomial, itertools.repeat(degree), vectors)
 
 
 def claimed_lower_bound(degree: int, height: int) -> int:

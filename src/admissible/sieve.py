@@ -408,19 +408,32 @@ def sieve_level(height: int) -> int:
     return round((height * math.log(height)) ** (1.0 / 3.0))
 
 
+def _reference(magnitude: Callable[[], float]) -> float | None:
+    """magnitude(), or None when it lies outside float range.
+
+    Past float range a power raises OverflowError, while a product or sum
+    of floats rounds to infinity; both become None.
+    """
+    try:
+        value = magnitude()
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class PrimeRemainderDetail:
     """Exact remainder at one prime next to its closed-form reference shape.
 
     `remainder_reference` is H^(n-1)/p^(n/2) + H^(n-2)*p evaluated in
-    floating point; it is displayed for comparison only and never enters
-    the exact bound.
+    floating point, or None outside float range; it is displayed for
+    comparison only and never enters the exact bound.
     """
 
     p: int
     member_count: int
     remainder: Fraction
-    remainder_reference: float
+    remainder_reference: float | None
 
 
 @dataclass(frozen=True)
@@ -430,7 +443,7 @@ class PipelineReport:
     Exact fields: ambient_count (the admissible census), sifted_exact,
     turan_bound (None when no primes sit below z), irreducible_count and
     the per-prime remainders.  The *_reference fields are floating-point
-    magnitudes for orientation.
+    magnitudes for orientation, None when one lies outside float range.
     """
 
     degree: int
@@ -444,8 +457,8 @@ class PipelineReport:
     irreducible_count: int
     turan_inequality_holds: bool | None
     chain_inequality_holds: bool
-    main_term_reference: float
-    error_term_reference: float
+    main_term_reference: float | None
+    error_term_reference: float | None
     per_prime: tuple[PrimeRemainderDetail, ...]
 
 
@@ -490,16 +503,18 @@ def pipeline_lower_bound(
     if not chain_holds:
         raise RuntimeError("sifting chain inequality violated; this is a bug")
 
-    main_ref = height ** (degree - 1) / math.factorial(degree - 1)
-    error_ref = (
-        height ** (degree - 4.0 / 3.0) * math.log(height) ** (2.0 / 3.0)
+    main_ref = _reference(lambda: height ** (degree - 1) / math.factorial(degree - 1))
+    error_ref = _reference(
+        lambda: height ** (degree - 4.0 / 3.0) * math.log(height) ** (2.0 / 3.0)
         if height >= 2
         else 0.0
     )
     details = []
     for p in instance.primes:
         exact_remainder = instance.member_counts[p] - instance.densities[p] * ambient_count
-        shape = height ** (degree - 1) / p ** (degree / 2.0) + height ** (degree - 2) * p
+        shape = _reference(
+            lambda: height ** (degree - 1) / p ** (degree / 2.0) + height ** (degree - 2) * p
+        )
         details.append(
             PrimeRemainderDetail(
                 p=p,

@@ -8,6 +8,7 @@ import pytest
 
 from admissible import cli
 from admissible.finite_field import audit_irreducible_counts
+from admissible.polynomials import count_admissible_exact, enumerate_admissible
 
 
 def test_count_payload(run_cli):
@@ -82,6 +83,44 @@ def test_enumerate_csv(run_cli):
     parsed = list(csv.reader(io.StringIO(out)))
     assert parsed[0] == ["degree", "a0", "a1", "a2"]
     assert parsed[1:] == [["3", "1", "2", "2"], ["3", "2", "1", "2"], ["3", "2", "2", "1"]]
+
+
+def _reference_rows(n, h, fmt, limit):
+    # What json.dumps and csv.writer print for the enumeration, row by row.
+    polys = list(enumerate_admissible(n, h))
+    shown = polys if limit is None else polys[:limit]
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["degree"] + [f"a{i}" for i in range(n)])
+        for f in shown:
+            writer.writerow([f.degree, *f.coeffs])
+        marker = "# truncated\n"
+    else:
+        for f in shown:
+            out.write(json.dumps(dict(coeffs=list(f.coeffs), degree=f.degree),
+                                 sort_keys=True) + "\n")
+        marker = json.dumps({"emitted": limit, "truncated": True}, sort_keys=True) + "\n"
+    return out.getvalue() + (marker if len(shown) < len(polys) else "")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_enumerate_rows_match_json_and_csv_writers(capsys, fmt):
+    n, h = 4, 24
+    total = count_admissible_exact(n, h)
+    assert total == 2_600  # more than two blocks of rows
+    for limit in (None, 0, cli._BLOCK_ROWS, total, total + 1, total - 1):
+        argv = ["enumerate", "--degree", str(n), "--height", str(h), "--format", fmt]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        assert cli.main(argv) == 0
+        got = capsys.readouterr().out.splitlines(keepends=True)
+        want = _reference_rows(n, h, fmt, limit).splitlines(keepends=True)
+        # The first differing line, not a diff of 2,600 rows (which is slow).
+        first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                     min(len(got), len(want)))
+        assert got[first:first + 1] == want[first:first + 1], (limit, first)
+        assert len(got) == len(want), limit
 
 
 def test_irr_count_payload(run_cli):

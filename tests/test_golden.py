@@ -55,6 +55,8 @@ CASES = [
     *_both("sieve --degree 3 --height 1"),
     # primes 17, 19 and 23 get no table: membership by the direct test
     *_both("sieve --degree 4 --height 24 --z 24"),
+    # p^(n/2) = 7^400 is past float range: its remainder_reference is null
+    "sieve --degree 800 --height 1 --z 8",
     *_both("fp-audit --degree 2 --primes 2,3,5,7"),
     "fp-audit --degree 3 --primes 2,3",
     *_both("primes --below 30"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -57,10 +58,20 @@ def test_enumeration_anchors():
 
 
 def test_enumeration_matches_brute_force_and_order():
-    for n, h in [(3, 0), (3, 2), (3, 4), (3, 6), (4, 6), (4, 8), (5, 25)]:
+    # Degrees 1 and 2 take the generator's one- and two-part paths; height 0
+    # and (4, 5) have target n! - 1 > n * H, so nothing is feasible.
+    grid = [(1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 0), (3, 2), (3, 4), (3, 6),
+            (4, 5), (4, 6), (4, 8), (5, 25)]
+    for n, h in grid:
         got = [f.coeffs for f in enumerate_admissible(n, h)]
-        assert got == brute_admissible_vectors(n, h)
+        assert got == brute_admissible_vectors(n, h), (n, h)
         assert got == sorted(set(got))  # strictly increasing lex, no duplicates
+    for parts in range(1, 5):
+        for cap in range(4):
+            for target in range(parts * cap + 2):
+                expected = [t for t in itertools.product(range(cap + 1), repeat=parts)
+                            if sum(t) == target]
+                assert list(polynomials._bounded_vectors(parts, target, cap)) == expected
 
 
 def test_enumerated_polynomials_are_admissible():
@@ -223,10 +234,3 @@ def test_text_rendering():
     assert poly_text((4, -2, 1)) == "x^2 - 2x + 4"
     assert poly_text((-1, 1)) == "x - 1"
     assert poly_text(()) == "0"
-
-
-def test_json_form():
-    assert MonicIntPolynomial(3, (1, 2, 2)).as_json_dict() == {
-        "degree": 3,
-        "coeffs": [1, 2, 2],
-    }

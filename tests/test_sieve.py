@@ -215,6 +215,24 @@ def test_pipeline_degenerate():
     assert report.error_term_reference == 0.0
 
 
+def test_pipeline_references_past_float_range_are_none():
+    # 7^400 overflows a float power.
+    report = pipeline_lower_bound(800, 1, z_override=8)
+    assert [d.remainder_reference for d in report.per_prime] == [2.0, 3.0, 5.0, None]
+    assert report.main_term_reference == 0.0 and report.error_term_reference == 0.0
+    # 2^1098.67 overflows the error term's power.
+    report = pipeline_lower_bound(1100, 2, z_override=3)
+    assert report.error_term_reference is None
+    assert report.per_prime[0].remainder_reference is None
+    # H^2 / 2! with H = 10^200 overflows an int / int division.
+    report = pipeline_lower_bound(3, 10**200, z_override=8)
+    assert report.main_term_reference is None and report.error_term_reference is None
+    assert [d.remainder_reference for d in report.per_prime] == [None] * 4
+    assert report.ambient_count == 21 and report.chain_inequality_holds
+    # H^(5/3) = 4.6e306 is finite, but times (ln H)^(2/3) it rounds to inf.
+    assert pipeline_lower_bound(3, 10**184, z_override=8).error_term_reference is None
+
+
 def test_pipeline_preconditions():
     with pytest.raises(ValueError):
         pipeline_lower_bound(2, 6)
