@@ -94,13 +94,16 @@ def _divmod_by_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 
 def _signed_divisors(a0: int, bound: int) -> list[int]:
     # Divisors d of a0 with |d| <= bound, ordered by (|d|, sign): -1, 1, -2, 2, ...
+    # Each d <= sqrt|a0| is paired with |a0| / d, so the loop runs at most
+    # sqrt|a0| times whatever the bound.
     m = abs(a0)
-    out = []
-    for d in range(1, min(m, bound) + 1):
+    small, large = [], []
+    for d in range(1, min(math.isqrt(m), bound) + 1):
         if m % d == 0:
-            out.append(-d)
-            out.append(d)
-    return out
+            small.append(d)
+            if d < m // d <= bound:
+                large.append(m // d)
+    return [s for d in small + large[::-1] for s in (-d, d)]
 
 
 def _ceil_sqrt(n: int) -> int:

@@ -4,12 +4,12 @@ The sifting sets here are "irreducible mod p": an admissible polynomial
 belongs to A_p when its reduction mod p is irreducible.  The polynomials
 are counted by their bitmask of A_p memberships over the primes below z;
 member counts, pairwise intersection counts and the sifted count are all
-read off that histogram, exactly.  The histogram comes from testing every
-polynomial, or, for a Turan instance when it is cheaper, by residue
-class: membership in A_p depends on f mod p only, so it tests the
-residue vectors mod p and counts the integer lifts of each in closed
-form.  The bound is evaluated in exact rational arithmetic, so a
-violation means a bug.
+read off that histogram, exactly.  Every Turan instance, the pipeline's
+included, takes the cheaper of two routes to it: testing every
+polynomial, or counting by residue class.  Membership in A_p depends on
+f mod p only, so the second route tests the residue vectors mod p and
+counts the integer lifts of each in closed form.  The bound is evaluated
+in exact rational arithmetic, so a violation means a bug.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .combinatorics import count_two_cap_compositions
 from .errors import FeasibilityError
 from .finite_field import TABLE_LIMIT, irreducibility_tester
-from .integer_irreducibility import count_admissible_irreducible
+from .integer_irreducibility import is_irreducible_over_z
 from .polynomials import (
     MonicIntPolynomial,
     check_degree,
@@ -271,24 +271,6 @@ def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:
     return primes
 
 
-def _check_direct_tests(tests: int) -> None:
-    if tests > DIRECT_TEST_LIMIT:
-        raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
-                               f"without a table exceed limit {DIRECT_TEST_LIMIT}")
-
-
-def _untabled(degree: int, primes: tuple[int, ...]) -> list[int]:
-    # The primes whose degree-n polynomials get no lookup table.
-    return [p for p in primes if _capped_power(p, degree, TABLE_LIMIT) > TABLE_LIMIT]
-
-
-def _enumerated_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
-    # The membership histogram by testing every admissible polynomial at
-    # every prime: N(H) tests, direct ones at the primes without a table.
-    _check_direct_tests(count_admissible_exact(degree, height) * len(_untabled(degree, primes)))
-    return _membership_histogram(enumerate_admissible(degree, height), primes)
-
-
 def _slice_histogram(degree: int, height: int, modulus: int,
                      testers: list[tuple[int, Callable[[Sequence[int]], bool]]]) -> dict[int, int]:
     # {mask: count} over the admissible polynomials, from the
@@ -316,18 +298,6 @@ def _slice_histogram(degree: int, height: int, modulus: int,
         if lifts:
             histogram[mask] = histogram.get(mask, 0) + vectors * lifts
     return histogram
-
-
-def _residue_passes(degree: int, primes: tuple[int, ...], bound: int) -> dict[int, int]:
-    # {modulus: residue vectors} of the passes the residue route may make:
-    # one mod each prime, and one mod the product of the primes above the
-    # degree when two or more could have a non-empty A_p.  Sizes past
-    # `bound` are only known to be past it.
-    moduli = list(primes)
-    sifting = [p for p in primes if p > degree]
-    if len(sifting) > 1:
-        moduli.append(math.prod(sifting))
-    return {m: _capped_power(m, degree - 1, bound) for m in moduli}
 
 
 def _residue_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
@@ -366,6 +336,32 @@ def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
     )
 
 
+def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
+    # The membership histogram of the admissible set over `primes`, by the
+    # cheaper route: N(H) tests at each prime, or the residue vectors of
+    # the passes _residue_histogram may make, {modulus: vectors}.  Those
+    # are one pass mod each prime, and one mod the product of the primes
+    # above the degree when two or more could have a non-empty A_p; a
+    # size past N(H) * pi(z) is only known to be past it.  The route's
+    # direct tests, at the primes whose polynomials get no lookup table,
+    # are checked against DIRECT_TEST_LIMIT before any test is made.
+    size = count_admissible_exact(degree, height)
+    enumerated = size * len(primes)
+    sifting = [p for p in primes if p > degree]
+    moduli = [*primes, math.prod(sifting)] if len(sifting) > 1 else primes
+    passes = {m: _capped_power(m, degree - 1, enumerated) for m in moduli}
+    untabled = [p for p in primes if _capped_power(p, degree, TABLE_LIMIT) > TABLE_LIMIT]
+    by_residue = sum(passes.values()) < enumerated
+    tests = (sum(vectors * sum(m % p == 0 for p in untabled) for m, vectors in passes.items())
+             if by_residue else size * len(untabled))
+    if tests > DIRECT_TEST_LIMIT:
+        raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
+                               f"without a table exceed limit {DIRECT_TEST_LIMIT}")
+    if by_residue:
+        return _residue_histogram(degree, height, primes)
+    return _membership_histogram(enumerate_admissible(degree, height), primes)
+
+
 def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance:
     """Materialize the sifting problem for the admissible set at level z.
 
@@ -384,16 +380,7 @@ def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance
     needs more than DIRECT_TEST_LIMIT direct tests.
     """
     primes = _sieve_primes(degree, z)
-    enumerated = count_admissible_exact(degree, height) * len(primes)
-    passes = _residue_passes(degree, primes, enumerated)
-    if sum(passes.values()) < enumerated:
-        untabled = _untabled(degree, primes)
-        _check_direct_tests(sum(size * sum(m % p == 0 for p in untabled)
-                                for m, size in passes.items()))
-        histogram = _residue_histogram(degree, height, primes)
-    else:
-        histogram = _enumerated_histogram(degree, height, primes)
-    return _turan_instance(degree, z, primes, histogram)
+    return _turan_instance(degree, z, primes, _admissible_histogram(degree, height, primes))
 
 
 def sieve_level(height: int) -> int:
@@ -471,12 +458,12 @@ def pipeline_lower_bound(
     A >= N - S_exact always: a monic factorization over Z reduces to a
     factorization of the same degree split mod every prime, so every
     reducible polynomial survives the sifting.  The closed-form N(H)
-    behind the remainders must also equal the enumerated ambient size
-    behind the bound.  Violations raise RuntimeError because they can
-    only be implementation bugs.  A(H) comes from its own enumeration
-    of all N(H) polynomials, so counting by residue class could not lower
-    the order of the pipeline's cost: its sieve tests every polynomial,
-    which keeps N(H) checked against an enumeration.
+    behind the remainders must also equal the number of polynomials the
+    A(H) census enumerates.  Violations raise RuntimeError because they
+    can only be implementation bugs.  The Turan instance and S_exact come
+    from the same histogram as in build_admissible_instance, by either
+    route; A(H) is always counted by enumeration, and ENUM_LIMIT is
+    checked before any membership test.
     """
     if degree < 3:
         raise ValueError(f"pipeline requires degree >= 3, got {degree}")
@@ -487,16 +474,20 @@ def pipeline_lower_bound(
         z = sieve_level(height) if height >= 2 else 1
 
     primes = _sieve_primes(degree, z)
-    histogram = _enumerated_histogram(degree, height, primes)
+    ambient = enumerate_admissible(degree, height)
+    histogram = _admissible_histogram(degree, height, primes)
     instance = _turan_instance(degree, z, primes, histogram)
     sifted = histogram.get(0, 0)
     ambient_count = count_admissible_exact(degree, height)
     bound = turan_upper_bound(instance) if instance.primes else None
-    irreducible = count_admissible_irreducible(degree, height)
+    enumerated = irreducible = 0
+    for f in ambient:
+        enumerated += 1
+        irreducible += is_irreducible_over_z(f).irreducible
 
     turan_holds = None if bound is None else Fraction(sifted) <= bound
     chain_holds = irreducible >= ambient_count - sifted
-    if ambient_count != instance.ambient_size:
+    if ambient_count != enumerated:
         raise RuntimeError("closed-form and enumerated N(H) differ; this is a bug")
     if turan_holds is False:
         raise RuntimeError("Turan inequality violated; this is a bug")

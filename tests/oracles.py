@@ -120,6 +120,14 @@ def oracle_is_irreducible_over_z(full: list[int]) -> bool:
     return True
 
 
+def brute_signed_divisors(a0: int, bound: int) -> list[int]:
+    """Divisors d of a0 with |d| <= bound in the order -1, 1, -2, 2, ...
+
+    Trial division by every 1 <= d <= min(|a0|, bound), one at a time.
+    """
+    return [s * d for d in range(1, min(abs(a0), bound) + 1) if a0 % d == 0 for s in (-1, 1)]
+
+
 def first_box_divisor(full: list[int]) -> tuple[int, ...] | None:
     """First monic divisor of f in the unpruned Mignotte box order, or None.
 

@@ -86,8 +86,9 @@ CASES = [
     "enumerate --degree 6 --height 200",
     "irr-count --degree 6 --height 200",
     "sieve --degree 6 --height 200 --z 4",
-    "sieve --degree 6 --height 124",
+    "sieve --degree 6 --height 124 --z 12",
     "irr-count --degree 8 --height 5040",
+    "irr-count --degree 13 --height 479001600",
     "count --degree 100001 --height 1",
     "enumerate --degree 100001 --height 1",
     "irr-count --degree 100001 --height 1",

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from admissible.polynomials import (
 )
 
 from oracles import (
+    brute_signed_divisors,
     first_box_divisor,
     is_irreducible_trial_division,
     multiply_monic,
@@ -123,6 +125,28 @@ def test_search_limit_counts_only_the_degrees_left_open():
     g = MonicIntPolynomial(8, (5039,) + (5040,) * 7)
     with pytest.raises(FeasibilityError, match="search space exceeded: 6504157436 candidates"):
         is_irreducible_over_z(g)
+
+
+def test_signed_divisors_match_trial_division_in_order():
+    divisors = integer_irreducibility._signed_divisors
+    for a0 in range(-300, 301):
+        for bound in (*range(25), 100, 299, 300, 301, 10**6):
+            assert divisors(a0, bound) == brute_signed_divisors(a0, bound), (a0, bound)
+    # 12! = 2^10 3^5 5^2 7 11 and a square: each pairs divisors past sqrt|a0|.
+    for a0, bound in ((479_001_600, 10**5), (479_001_600, 21_886), (-1_002_001, 2_000_000)):
+        assert divisors(a0, bound) == brute_signed_divisors(a0, bound), (a0, bound)
+
+
+def test_the_divisor_listing_runs_to_sqrt_a0_only():
+    # The seventh admissible polynomial of degree 13 and height 12! has
+    # a_6 = 12! - 1 and every other a_i = 12!.  Its Mignotte box lists the
+    # divisors of a_0 = 12! up to ||f||_2 > |a_0|: trial division up to
+    # |a_0| took 33 s before the box was found too large.
+    f = MonicIntPolynomial(13, (479_001_600,) * 6 + (479_001_599,) + (479_001_600,) * 6)
+    start = time.process_time()
+    with pytest.raises(FeasibilityError, match="search space exceeded"):
+        is_irreducible_over_z(f)
+    assert time.process_time() - start < 2
 
 
 def test_witness_type_validation():

@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -315,23 +316,29 @@ def test_sieve_data_matches_brute_force_property(n, h, z):
 
 
 def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
+    # (4, 24, z=6): 2^3 + 3^3 + 5^3 = 160 residue vectors against 2,600 * 3
+    # tests, so the sieve counts by residue class and only A(H) enumerates.
+    # (4, 24, z=8): 2,600 * 4 = 10,400 tests against 160 + 7^3 + 35^3 =
+    # 43,378 vectors, so the sieve enumerates too.
     calls = []
-    irreducible_calls = []
 
-    def counted_enumerate(*args, **kwargs):
+    def counted_enumerate(*args):
         calls.append(args)
-        return enumerate_admissible(*args, **kwargs)
-
-    def counted_irreducible(*args, **kwargs):
-        irreducible_calls.append(args)
-        return count_admissible_irreducible(*args, **kwargs)
+        return enumerate_admissible(*args)
 
     monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
-    monkeypatch.setattr(sieve, "count_admissible_irreducible", counted_irreducible)
-    report = pipeline_lower_bound(3, 6, z_override=8)
-    assert len(calls) == 1  # the membership pass; A(H) enumerates on its own route
-    assert len(irreducible_calls) == 1
-    assert report.irreducible_count == count_admissible_irreducible(3, 6)
+    assert sieve._admissible_histogram(4, 24, primes_below(6)) == {0: 1900, 0b100: 700}
+    assert calls == []
+    irreducible = count_admissible_irreducible(4, 24)
+    for z, enumerations in ((6, 1), (8, 2)):
+        calls.clear()
+        report = pipeline_lower_bound(4, 24, z_override=z)
+        assert calls == [(4, 24)] * enumerations, z
+        inst = build_admissible_instance(4, 24, z)
+        assert {d.p: d.member_count for d in report.per_prime} == inst.member_counts
+        assert report.turan_bound == turan_upper_bound(inst)
+        assert report.sifted_exact == exact_sifted_count(enumerate_admissible(4, 24), z)
+        assert report.irreducible_count == irreducible
 
 
 def test_pipeline_compares_closed_form_and_enumerated_ambient_counts(monkeypatch):
@@ -341,6 +348,18 @@ def test_pipeline_compares_closed_form_and_enumerated_ambient_counts(monkeypatch
     monkeypatch.setattr(sieve, "count_admissible_exact", off_by_one)
     with pytest.raises(RuntimeError, match="N\\(H\\) differ; this is a bug"):
         pipeline_lower_bound(3, 6, z_override=4)
+
+
+def test_pipeline_compares_closed_form_n_h_with_the_a_h_enumeration(monkeypatch):
+    # On the residue route the instance's ambient size is a sum of
+    # composition counts, so N(H) is checked against the A(H) pass: here
+    # it misses one polynomial.
+    def one_short(degree, height):
+        return itertools.islice(enumerate_admissible(degree, height), 1, None)
+
+    monkeypatch.setattr(sieve, "enumerate_admissible", one_short)
+    with pytest.raises(RuntimeError, match="closed-form and enumerated N\\(H\\) differ"):
+        pipeline_lower_bound(4, 24, z_override=6)
 
 
 def test_instance_prime_limit_is_checked_before_any_membership_test(monkeypatch):
@@ -401,7 +420,8 @@ def test_residue_route_matches_enumeration_on_grids():
             for z in levels:
                 primes = primes_below(z)
                 by_residue = sieve._residue_histogram(n, h, primes)
-                assert by_residue == sieve._enumerated_histogram(n, h, primes), (n, h, z)
+                by_test = sieve._membership_histogram(enumerate_admissible(n, h), primes)
+                assert by_residue == by_test, (n, h, z)
 
 
 def test_residue_route_product_pass_at_the_smoke_instance():
@@ -466,16 +486,18 @@ def test_residue_route_answers_6_130_9(monkeypatch):
 
 
 def test_pipeline_limits_are_checked_before_any_membership_test(monkeypatch):
-    # The pipeline enumerates A(H), and its sieve takes the enumeration
-    # route with it, so these still stop before any tester is built.
     def no_tester(p, degree):
         raise AssertionError("a tester was built past a limit")
 
     monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
-    with pytest.raises(FeasibilityError, match="sieve work too large: 142506 direct tests"):
-        pipeline_lower_bound(6, 124)
+    # 142,506 sextics tested at p = 7 and 11, against 77^5 vectors mod 77.
+    with pytest.raises(FeasibilityError, match="sieve work too large: 285012 direct tests"):
+        pipeline_lower_bound(6, 124, z_override=12)
     with pytest.raises(FeasibilityError, match="enumeration too large: 131035104180 "):
         pipeline_lower_bound(6, 200, z_override=4)
+    # ENUM_LIMIT is checked first, so it names an input past both limits.
+    with pytest.raises(FeasibilityError, match="enumeration too large: 131035104180 "):
+        pipeline_lower_bound(6, 200, z_override=12)
 
 
 def test_route_costs_build_no_huge_prime_powers():
