@@ -6,10 +6,13 @@ is decided by trial division, which is all that desk-scale moduli need.
 
 Irreducibility mod p is read off the degrees of a polynomial's monic
 divisors: f of degree n is irreducible iff they are only 0 and n.  When
-all p^n monic polynomials of a degree fit in a memoized lookup table,
-the table is built by striking out every product g*h with g monic
-irreducible of degree <= n/2, each entry storing the divisor degrees
-read off the table of the cofactor h.  Past the table size, one
+p^n <= TABLE_LIMIT they come from a memoized lookup table keyed by
+(p, n, c), c = f(1) mod p: the p^(n-1) monic polynomials of one class,
+built on the first lookup of that class.  Every admissible polynomial
+has f(1) = n!, so it only ever needs one class per (p, n).  A class is
+built by striking out every product g*h with g monic irreducible of
+degree <= n/2 and g(1) h(1) = c, each entry storing the divisor degrees
+read off the class table of the cofactor h.  Past the table limit, one
 polynomial's divisor degrees come from its distinct-degree
 factorization, the one direct algorithm here.  The exact count of monic
 irreducibles of each degree comes from the Gauss/Moebius formula.
@@ -26,7 +29,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import FeasibilityError
 from .polynomials import check_degree
 
-# Largest p^degree for which a full irreducibility lookup table is built.
+# Largest p^degree for which divisor degrees are read from lookup tables;
+# each class f(1) mod p of such a (p, degree) holds p^(degree-1) entries.
 TABLE_LIMIT = 32768
 
 # Largest odd integer that trial division is asked to factor.  Its cost
@@ -185,49 +189,78 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
 def _is_irreducible_raw(fc: list[int], p: int) -> bool:
     # f of degree n is irreducible iff its divisor degrees are {0, n}.  A
     # non-squarefree f gets every degree, so it is reducible for n >= 2.
+    # The library reads the degrees themselves; the tests and
+    # bench/tracer.py read this name.
     return _distinct_degree_sets(fc, p) == 1 | 1 << len(fc) - 1
 
 
-def _tails(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    # (a_0, ..., a_{degree-1}) of every monic polynomial, in table index order.
-    return (t[::-1] for t in itertools.product(range(p), repeat=degree))
+def _class_members(p: int, degree: int, c: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # (a_0, ..., a_{degree-1}) and divisor degrees of every monic polynomial
+    # of the class f(1) = c mod p, in table index order.
+    entries = _divisor_degree_table(p, degree, c)
+    for i, digits in enumerate(itertools.product(range(p), repeat=degree - 1)):
+        rest = digits[::-1]  # a_1, ..., a_{degree-1}, a_1 varying fastest
+        yield ((c - 1 - sum(rest)) % p, *rest), entries[i]
 
 
 @lru_cache(maxsize=None)
-def _divisor_degree_table(p: int, degree: int) -> tuple[int, ...]:
-    # Entry i is the bitmask of the degrees of the monic divisors of the
-    # polynomial with index i (bits 0 and degree always set).  A monic
-    # polynomial is reducible iff it is g*h with g monic irreducible of
-    # degree m <= degree/2 and h monic of degree degree - m, and then its
+def _divisor_degree_table(p: int, degree: int, c: int) -> tuple[int, ...]:
+    # Entry i is the bitmask of the degrees of the monic divisors (bits 0
+    # and degree always set) of the monic f with f(1) = c mod p whose
+    # a_1, ..., a_{degree-1} are the base-p digits of i, a_1 least
+    # significant; the class fixes a_0.  A monic f is reducible iff it is
+    # g*h with g monic irreducible of degree m <= degree/2, and then its
     # divisors are those of h and g times those of h: the set is
-    # S(h) | S(h) << m, whichever such g is struck out.  Entries no
-    # product reaches stay {0, degree}: the irreducibles.
+    # S(h) | S(h) << m, whichever such g is struck out.  Since
+    # g(1) h(1) = f(1), h has class c / g(1) when g(1) != 0.  The one
+    # irreducible with g(1) = 0 is x - 1, which divides every f of class
+    # 0, so that class is struck out by x - 1 alone, with h of any class.
+    # Entries no product reaches stay {0, degree}: the irreducibles.
+    irreducible = 1 | 1 << degree
+    sets = [irreducible] * p ** (degree - 1)
+    if degree == 1:
+        return tuple(sets)
+    if c == 0:
+        strikes = [(1, [(p - 1,)], b) for b in range(p)]
+    else:
+        strikes = [(m, [g for g, s in _class_members(p, m, a) if s == 1 | 1 << m],
+                    c * pow(a, -1, p) % p)
+                   for m in range(1, degree // 2 + 1) for a in range(1, p)]
+    weights = [0] + [p**k for k in range(degree - 1)]  # a_0 is fixed by the class
+    for m, factors, b in strikes:
+        cofactors = [(h, s | s << m) for h, s in _class_members(p, degree - m, b)]
+        for g in factors:
+            for h, product_set in cofactors:
+                f = [0] * m + list(h)  # x^m * h below x^degree
+                for i, gi in enumerate(g):
+                    if gi:
+                        for j, hj in enumerate(h, i):
+                            f[j] += gi * hj
+                        f[i + degree - m] += gi  # gi x^i times the leading x^(degree-m)
+                sets[sum([fk % p * w for fk, w in zip(f, weights)])] = product_set
+    return tuple(sets)
+
+
+def _divisor_degrees(p: int, degree: int) -> Callable[[Sequence[int]], int]:
+    # The one lookup path: (a_0, ..., a_{degree-1}) of a monic integer
+    # polynomial to the divisor degrees of f mod p, read from the table of
+    # the class f(1) mod p when p^degree <= TABLE_LIMIT, else from the
+    # distinct-degree factorization of f mod p.  A composite p is refused
+    # before that can divide by a non-unit and never end.
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    size = p**degree
-    if size > TABLE_LIMIT:
-        raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
-    sets = [1 | 1 << degree] * size
-    weights = [p**k for k in range(degree)]
-    for m in range(1, degree // 2 + 1):
-        # Each cofactor h with the set of g*h, the same for every g.
-        cofactors = [(h, s | s << m)
-                     for h, s in zip(_tails(p, degree - m), _divisor_degree_table(p, degree - m))]
-        irreducible = 1 | 1 << m
-        for g, s in zip(_tails(p, m), _divisor_degree_table(p, m)):
-            if s != irreducible:
-                continue
-            for h, product_set in cofactors:
-                c = [0] * m + list(h)  # x^m * h below x^degree
-                for i, gi in enumerate(g):
-                    if gi:
-                        for j, hj in enumerate(h, i):
-                            c[j] += gi * hj
-                        c[i + degree - m] += gi  # gi x^i times the leading x^(degree-m)
-                sets[sum([ck % p * w for ck, w in zip(c, weights)])] = product_set
-    return tuple(sets)
+    if p**degree > TABLE_LIMIT:
+        return lambda coeffs: _distinct_degree_sets([c % p for c in coeffs] + [1], p)
+
+    def lookup(coeffs: Sequence[int]) -> int:
+        idx = 0
+        for c in coeffs[:0:-1]:
+            idx = idx * p + c % p
+        return _divisor_degree_table(p, degree, (sum(coeffs) + 1) % p)[idx]
+
+    return lookup
 
 
 @lru_cache(maxsize=None)
@@ -236,49 +269,43 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
 
     Index i encodes the non-leading coefficients as base-p digits with
     a_0 least significant.  Only built when p^degree <= TABLE_LIMIT.
-    It is read off the table of divisor degrees, an entry being
-    irreducible iff its only monic divisors have degree 0 and degree.
-    That table is a sieve of products: each g*h with g monic irreducible
-    of degree m <= degree/2 and h monic of degree degree - m stores the
-    divisor degrees of h, shifted by m and not.  That is about
-    p^degree / m small products for each m, and no direct test.
+    Entry i is True iff the polynomial's only monic divisors have degree
+    0 and degree, read off the divisor-degree tables of its class f(1)
+    mod p.  No library code calls it: it is a view kept for
+    `bench/tracer.py` until that tracer reads run statistics from the
+    library (ROADMAP direction 3).
     """
-    sets = _divisor_degree_table(p, degree)
-    irreducible = 1 | 1 << degree
-    return tuple(s == irreducible for s in sets)
-
-
-def _table_or_direct(p: int, degree: int, table: Callable, direct: Callable) -> Callable:
-    # A map on the integer coefficients (a_0, ..., a_{degree-1}) of a monic
-    # polynomial: an entry of table(p, degree) when p^degree <= TABLE_LIMIT,
-    # else direct(f mod p, p).  A composite p is refused before direct can
-    # divide by a non-unit and never end.
-    if p**degree <= TABLE_LIMIT:
-        entries = table(p, degree)
-
-        def lookup(coeffs: Sequence[int]):
-            idx = 0
-            for c in reversed(coeffs):
-                idx = idx * p + c % p
-            return entries[idx]
-
-        return lookup
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
-    return lambda coeffs: direct([c % p for c in coeffs] + [1], p)
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    size = p**degree
+    if size > TABLE_LIMIT:
+        raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
+    if degree == 1:  # every x + a_0 is irreducible, with no class table to build
+        return (True,) * p
+    classes = [_divisor_degree_table(p, degree, c) for c in range(p)]
+    sums = [0]  # digit sums of the class index j = a_1 + a_2 p + ...
+    for _ in range(degree - 1):
+        sums = [s + d for d in range(p) for s in sums]
+    irreducible = 1 | 1 << degree
+    # Index a_0 + p * j holds the entry j of class a_0 + sum(a_1, ...) + 1.
+    return tuple(classes[(a0 + s + 1) % p][j] == irreducible
+                 for j, s in enumerate(sums) for a0 in range(p))
 
 
 def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool]:
     """Predicate "irreducible mod p" on the non-leading integer coefficients.
 
     The predicate takes (a_0, ..., a_{degree-1}) of a monic polynomial of
-    the given degree.  It answers from `irreducible_table` when
-    p^degree <= TABLE_LIMIT and otherwise from the distinct-degree
-    factorization of f mod p, irreducible iff it finds no divisor degree
-    but 0 and degree.  Raises ValueError ("not prime") on a composite p:
-    the factorization would divide by a non-unit and never end.
+    the given degree and is True iff `factor_degree_sets` finds no
+    divisor degree but 0 and degree.  Raises ValueError ("not prime") on
+    a composite p: the factorization would divide by a non-unit and never
+    end.
     """
-    return _table_or_direct(p, degree, irreducible_table, _is_irreducible_raw)
+    degrees = _divisor_degrees(p, degree)
+    irreducible = 1 | 1 << degree
+    return lambda coeffs: degrees(coeffs) == irreducible
 
 
 def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
@@ -287,13 +314,14 @@ def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
     The map takes (a_0, ..., a_{degree-1}) and returns a bitmask whose
     bit k is set iff f mod p has a monic divisor of degree k; bits 0 and
     degree are always set, and f is irreducible mod p iff no other is.
-    When p^degree <= TABLE_LIMIT the answer is read from the table that
-    `irreducible_table` is derived from, and is exact.  Otherwise it
-    comes from a distinct-degree factorization, exact when f mod p is
-    squarefree; when it is not, every degree is returned, which rules
-    nothing out.  Raises ValueError ("not prime") on a composite p.
+    When p^degree <= TABLE_LIMIT the answer is read from the table of the
+    class f(1) mod p, built on first use with p^(degree-1) entries, and is
+    exact.  Otherwise it comes from a distinct-degree factorization,
+    exact when f mod p is squarefree; when it is not, every degree is
+    returned, which rules nothing out.  Raises ValueError ("not prime")
+    on a composite p.
     """
-    return _table_or_direct(p, degree, _divisor_degree_table, _distinct_degree_sets)
+    return _divisor_degrees(p, degree)
 
 
 def count_irreducibles_exact(degree: int, p: int) -> int:

@@ -221,7 +221,8 @@ def _membership_histogram(ambient: Iterable[MonicIntPolynomial], primes: tuple[i
     # The one membership pass: polynomials counted by an integer mask whose
     # bit i is set iff the reduction mod primes[i] is irreducible.  With
     # first_hit a polynomial stops at its first irreducible reduction, so
-    # only mask 0 (the sifted count) stays exact.
+    # only mask 0 (the sifted count) stays exact.  A prime p | f(1) is not
+    # tested at degree >= 2: x - 1 divides f mod p, so f is reducible there.
     histogram: dict[int, int] = {}
     degree = None
     for f in ambient:
@@ -229,11 +230,12 @@ def _membership_histogram(ambient: Iterable[MonicIntPolynomial], primes: tuple[i
             if degree is not None:
                 raise ValueError(f"mixed degrees: {f.degree} after {degree}")
             degree = f.degree
-            testers = [(1 << i, irreducibility_tester(p, degree)) for i, p in enumerate(primes)]
+            testers = [(1 << i, p, irreducibility_tester(p, degree)) for i, p in enumerate(primes)]
         coeffs = f.coeffs
+        at_one = sum(coeffs) + 1 if degree > 1 else 1  # 1: no prime divides it
         mask = 0
-        for bit, test in testers:
-            if test(coeffs):
+        for bit, p, test in testers:
+            if at_one % p and test(coeffs):
                 mask |= bit
                 if first_hit:
                     break
@@ -247,7 +249,8 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     All polynomials must share one degree; a change of degree raises
     ValueError.  With no primes below z nothing is sifted and the
     ambient size comes back unchanged.  A polynomial is tested at no
-    further prime once one reduction is irreducible.
+    further prime once one reduction is irreducible, and at degree >= 2
+    not at a prime dividing f(1), where x - 1 makes it reducible.
     """
     return _membership_histogram(ambient, primes_below(z), first_hit=True).get(0, 0)
 

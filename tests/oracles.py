@@ -322,3 +322,29 @@ def brute_sieve_counts(
         if not hits:
             sifted += 1
     return member, pair, sifted
+
+
+def count_irreducibles_in_class(degree: int, p: int, c: int) -> int:
+    """Monic irreducibles f of one degree over F_p with f(1) = c, in closed form.
+
+    For c != 0 it is (1/n) sum_{d|n} mu(d) rho_d(c) (p^(n/d) - 1)/(p - 1),
+    with rho_d(x) = #{a in F_p^* : a^d = x} counted by trying every a.
+    For a root alpha of f, f(1) is the norm of 1 - alpha from F_(p^n) to
+    F_p.  An element of the subfield F_(p^(n/d)) has norm N^d from
+    F_(p^n), where N is its norm from F_(p^(n/d)), and N takes each value
+    of F_p^* (p^(n/d) - 1)/(p - 1) times; Moebius inversion over the
+    subfields keeps the elements of degree n, n of them per f (Lidl &
+    Niederreiter, *Finite Fields*, section 2.3).  rho_d(c) equals
+    rho_d((-1)^n c), the form read off the constant term f(1) of
+    f(x + 1): the sign is 1 at even n, and every d | n is odd at odd n.
+    For c = 0 only x - 1 has f(1) = 0, so the count is 1 at degree 1 and
+    0 above.
+    """
+    if c % p == 0:
+        return 1 if degree == 1 else 0
+    total = 0
+    for d in range(1, degree + 1):
+        if degree % d == 0:
+            rho = sum(1 for a in range(1, p) if pow(a, d, p) == c % p)
+            total += brute_mobius(d) * rho * (p ** (degree // d) - 1) // (p - 1)
+    return total // degree

@@ -27,12 +27,14 @@ from admissible.finite_field import (
     is_prime,
     mobius,
 )
+from admissible.integer_irreducibility import count_admissible_irreducible
 from admissible.sieve import primes_below
 
 from oracles import (
     brute_divisor_degrees,
     brute_mobius,
     count_irreducibles_exhaustive,
+    count_irreducibles_in_class,
     is_irreducible_rabin,
     is_irreducible_trial_division,
     is_squarefree_trial_division,
@@ -175,6 +177,51 @@ def test_irreducible_table_runs_no_rabin_test(monkeypatch):
     monkeypatch.setattr(finite_field, "_is_irreducible_raw", no_direct_test)
     monkeypatch.setattr(finite_field, "_distinct_degree_sets", no_direct_test)
     assert sum(irreducible_table(13, 4)) == count_irreducibles_exact(4, 13)
+
+
+def _class_grid(max_size):
+    # Every (p, n, c) with p < 14, n <= 6 and p^n <= max_size.
+    return [(p, n, c) for p in primes_below(14) for n in range(1, 7) if p**n <= max_size
+            for c in range(p)]
+
+
+def test_class_tables_match_trial_division_entry_by_entry():
+    # Entry j of class c holds a_1, ..., a_{n-1} as the base-p digits of j,
+    # a_1 least significant; a_0 makes f(1) = c mod p.
+    for p, n, c in _class_grid(3125):
+        table = finite_field._divisor_degree_table(p, n, c)
+        assert len(table) == p ** (n - 1)
+        for j, degrees in enumerate(table):
+            rest = [j // p**k % p for k in range(n - 1)]
+            fc = [(c - 1 - sum(rest)) % p, *rest, 1]
+            assert degrees == brute_divisor_degrees(fc, p), (p, n, c, j)
+
+
+def test_class_irreducible_counts_match_the_closed_form():
+    grid = _class_grid(TABLE_LIMIT)
+    assert len(grid) == 191
+    for p, n, c in grid:
+        irreducible = 1 | 1 << n
+        got = sum(s == irreducible for s in finite_field._divisor_degree_table(p, n, c))
+        assert got == count_irreducibles_in_class(n, p, c), (p, n, c)
+
+
+def test_an_admissible_census_builds_one_class_per_tabled_prime():
+    # Every admissible quintic has f(1) = 120: class 0 mod 2, 3 and 5, and 1
+    # mod 7; 11^5 is past the table limit.
+    table = finite_field._divisor_degree_table
+    table.cache_clear()
+    irreducible_table.cache_clear()
+    count_admissible_irreducible(5, 27)
+    cached = []
+    for p in (2, 3, 5, 7):
+        for c in range(p):
+            misses = table.cache_info().misses
+            table(p, 5, c)  # a miss builds the class now
+            if table.cache_info().misses == misses:
+                cached.append((p, 5, c))
+    assert cached == [(2, 5, 0), (3, 5, 0), (5, 5, 0), (7, 5, 1)]
+    assert 11**5 > TABLE_LIMIT >= 7**5
 
 
 @given(

@@ -12,6 +12,7 @@ ORACLE_NAMES = (
     "brute_force_compositions",
     "brute_mobius",
     "count_irreducibles_exhaustive",
+    "count_irreducibles_in_class",
     "count_primes_crosscheck",
     "is_irreducible_rabin",
     "is_irreducible_trial_division",
@@ -25,7 +26,9 @@ ORACLE_NAMES = (
 # SEARCH_LIMIT; the irreducibility probe primes, replaced by the
 # factor-degree sets over FACTOR_DEGREE_PRIMES; and the prime divisors
 # that Rabin's criterion needed, folded into mobius, with the limit named
-# after that criterion, now DIRECT_TEST_LIMIT.
+# after that criterion, now DIRECT_TEST_LIMIT; the index walk over all p^n
+# monic polynomials and the table-or-direct selector, replaced by tables
+# per class f(1) mod p behind one lookup path.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -34,6 +37,8 @@ DELETED_NAMES = (
     "RABIN_TEST_LIMIT",
     "_prime_divisors",
     "_same_modulus",
+    "_table_or_direct",
+    "_tails",
     "count_nonneg_compositions",
     "count_positive_compositions",
     "fp_divmod",

@@ -146,10 +146,13 @@ def test_exact_sifted_count_anchors():
     assert exact_sifted_count(enumerate_admissible(3, 6), 6) == 14
     assert exact_sifted_count(enumerate_admissible(3, 6), 10) == 11
     assert exact_sifted_count(iter(()), 7) == 0
+    # x + 1 is irreducible mod 2 although 2 | f(1): degree 1 tests every prime.
+    assert exact_sifted_count([MonicIntPolynomial(1, (1,))], 3) == 0
 
 
 def test_exact_sifted_count_stops_at_the_first_irreducible_reduction(monkeypatch):
     calls = 0
+    at_root_one = []  # (p, coeffs) tested with p | f(1), where x - 1 divides f mod p
     tester = sieve.irreducibility_tester
 
     def counted_tester(p, degree):
@@ -158,6 +161,8 @@ def test_exact_sifted_count_stops_at_the_first_irreducible_reduction(monkeypatch
         def counted(coeffs):
             nonlocal calls
             calls += 1
+            if (sum(coeffs) + 1) % p == 0:
+                at_root_one.append((p, coeffs))
             return test(coeffs)
 
         return counted
@@ -167,6 +172,7 @@ def test_exact_sifted_count_stops_at_the_first_irreducible_reduction(monkeypatch
     sifted = exact_sifted_count(enumerate_admissible(n, h), z)
     assert sifted == brute_sieve_counts(n, h, z)[2]
     assert calls < count_admissible_exact(n, h) * len(primes_below(z))
+    assert at_root_one == []
 
 
 def test_sifted_count_nonincreasing_in_z():
