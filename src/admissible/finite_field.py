@@ -5,10 +5,12 @@ in [0, p) and no trailing zeros; [] is the zero polynomial.  Primality
 is decided by trial division, which is all that desk-scale moduli need.
 
 Irreducibility mod p is read off the degrees of a polynomial's monic
-divisors: f of degree n is irreducible iff they are only 0 and n.  When
-p^n <= TABLE_LIMIT they come from a memoized lookup table keyed by
-(p, n, c), c = f(1) mod p: the p^(n-1) monic polynomials of one class,
-built on the first lookup of that class.  Every admissible polynomial
+divisors: f of degree n is irreducible iff they are only 0 and n.
+`factor_degree_sets` is the one lookup of those degrees; its callers
+compare the set with {0, n} themselves.  When p^n <= TABLE_LIMIT the
+degrees come from a memoized lookup table keyed by (p, n, c),
+c = f(1) mod p: the p^(n-1) monic polynomials of one class, built on
+the first lookup of that class.  Every admissible polynomial
 has f(1) = n!, so it only ever needs one class per (p, n).  A class is
 built by striking out every product g*h with g monic irreducible of
 degree <= n/2 and g(1) h(1) = c, each entry storing the divisor degrees
@@ -241,28 +243,6 @@ def _divisor_degree_table(p: int, degree: int, c: int) -> tuple[int, ...]:
     return tuple(sets)
 
 
-def _divisor_degrees(p: int, degree: int) -> Callable[[Sequence[int]], int]:
-    # The one lookup path: (a_0, ..., a_{degree-1}) of a monic integer
-    # polynomial to the divisor degrees of f mod p, read from the table of
-    # the class f(1) mod p when p^degree <= TABLE_LIMIT, else from the
-    # distinct-degree factorization of f mod p.  A composite p is refused
-    # before that can divide by a non-unit and never end.
-    if not is_prime(p):
-        raise ValueError(f"not prime: {p}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if p**degree > TABLE_LIMIT:
-        return lambda coeffs: _distinct_degree_sets([c % p for c in coeffs] + [1], p)
-
-    def lookup(coeffs: Sequence[int]) -> int:
-        idx = 0
-        for c in coeffs[:0:-1]:
-            idx = idx * p + c % p
-        return _divisor_degree_table(p, degree, (sum(coeffs) + 1) % p)[idx]
-
-    return lookup
-
-
 @lru_cache(maxsize=None)
 def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     """Lookup table over all p^degree monic polynomials of one degree.
@@ -294,20 +274,6 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
                  for j, s in enumerate(sums) for a0 in range(p))
 
 
-def irreducibility_tester(p: int, degree: int) -> Callable[[Sequence[int]], bool]:
-    """Predicate "irreducible mod p" on the non-leading integer coefficients.
-
-    The predicate takes (a_0, ..., a_{degree-1}) of a monic polynomial of
-    the given degree and is True iff `factor_degree_sets` finds no
-    divisor degree but 0 and degree.  Raises ValueError ("not prime") on
-    a composite p: the factorization would divide by a non-unit and never
-    end.
-    """
-    degrees = _divisor_degrees(p, degree)
-    irreducible = 1 | 1 << degree
-    return lambda coeffs: degrees(coeffs) == irreducible
-
-
 def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
     """Map a monic polynomial to the degrees of its monic divisors mod p.
 
@@ -319,9 +285,23 @@ def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
     exact.  Otherwise it comes from a distinct-degree factorization,
     exact when f mod p is squarefree; when it is not, every degree is
     returned, which rules nothing out.  Raises ValueError ("not prime")
-    on a composite p.
+    on a composite p, before the factorization can divide by a non-unit
+    and never end, and on a degree below 1.
     """
-    return _divisor_degrees(p, degree)
+    if not is_prime(p):
+        raise ValueError(f"not prime: {p}")
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if p**degree > TABLE_LIMIT:
+        return lambda coeffs: _distinct_degree_sets([c % p for c in coeffs] + [1], p)
+
+    def lookup(coeffs: Sequence[int]) -> int:
+        idx = 0
+        for c in coeffs[:0:-1]:
+            idx = idx * p + c % p
+        return _divisor_degree_table(p, degree, (sum(coeffs) + 1) % p)[idx]
+
+    return lookup
 
 
 def count_irreducibles_exact(degree: int, p: int) -> int:

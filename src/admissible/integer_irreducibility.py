@@ -113,7 +113,8 @@ def _ceil_sqrt(n: int) -> int:
 
 def _irreducible_mod(f: MonicIntPolynomial, p: int) -> int:
     # The factor-degree set of f mod p, a bitmask (bit m: a monic divisor of
-    # degree m).  Degree is preserved by monic reduction.
+    # degree m), not a verdict.  Degree is preserved by monic reduction.
+    # The name stays because bench/tracer.py binds it.
     return factor_degree_sets(p, f.degree)(f.coeffs)
 
 

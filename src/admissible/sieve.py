@@ -7,8 +7,10 @@ member counts, pairwise intersection counts and the sifted count are all
 read off that histogram, exactly.  Every Turan instance, the pipeline's
 included, takes the cheaper of two routes to it: testing every
 polynomial, or counting by residue class.  Membership in A_p depends on
-f mod p only, so the second route tests the residue vectors mod p and
-counts the integer lifts of each in closed form.  The bound is evaluated
+f mod p only, so the second route tests residue vectors and counts the
+integer lifts of each in closed form: p^(n-1) vectors mod each prime p
+up to the degree n, where A_p must be empty, and P^(n-1) mod the product
+P of the primes above it, which give every mask.  The bound is evaluated
 in exact rational arithmetic, so a violation means a bug.
 """
 
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combinatorics import count_two_cap_compositions
 from .errors import FeasibilityError
-from .finite_field import TABLE_LIMIT, irreducibility_tester
+from .finite_field import TABLE_LIMIT, factor_degree_sets
 from .integer_irreducibility import is_irreducible_over_z
 from .polynomials import (
     MonicIntPolynomial,
@@ -230,12 +232,13 @@ def _membership_histogram(ambient: Iterable[MonicIntPolynomial], primes: tuple[i
             if degree is not None:
                 raise ValueError(f"mixed degrees: {f.degree} after {degree}")
             degree = f.degree
-            testers = [(1 << i, p, irreducibility_tester(p, degree)) for i, p in enumerate(primes)]
+            irreducible = 1 | 1 << degree
+            lookups = [(1 << i, p, factor_degree_sets(p, degree)) for i, p in enumerate(primes)]
         coeffs = f.coeffs
         at_one = sum(coeffs) + 1 if degree > 1 else 1  # 1: no prime divides it
         mask = 0
-        for bit, p, test in testers:
-            if at_one % p and test(coeffs):
+        for bit, p, degrees in lookups:
+            if at_one % p and degrees(coeffs) == irreducible:
                 mask |= bit
                 if first_hit:
                     break
@@ -256,7 +259,7 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
 
 
 def _capped_power(p: int, exponent: int, bound: int) -> int:
-    # p^exponent for p >= 2, or some power of p past `bound` when p^exponent
+    # p^exponent for p >= 1, or some power of p past `bound` when p^exponent
     # is: the exponent is cut at bound's bit length, so huge powers are
     # never built just to be compared.
     return p ** min(exponent, bound.bit_length())
@@ -275,23 +278,25 @@ def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:
 
 
 def _slice_histogram(degree: int, height: int, modulus: int,
-                     testers: list[tuple[int, Callable[[Sequence[int]], bool]]]) -> dict[int, int]:
+                     lookups: list[tuple[int, Callable[[Sequence[int]], int]]]) -> dict[int, int]:
     # {mask: count} over the admissible polynomials, from the
     # modulus^(degree-1) residue vectors r mod `modulus` on the slice
-    # sum(r) = degree! - 1 (mod modulus).  Each (bit, test) must depend on
+    # sum(r) = degree! - 1 (mod modulus); bit is set where the divisor
+    # degrees of r are {0, degree}.  Each (bit, lookup) must depend on
     # f mod `modulus` only.  The lifts a_i = r_i + modulus * q_i in
     # [0, height] have sum(q) = (degree! - 1 - sum(r)) / modulus, with q_i
     # capped at height // modulus, less one when r_i > height % modulus;
     # so vectors with equal (mask, sum(r), number of such r_i) share one
     # two-cap composition count.
     target = target_sum(degree)
+    irreducible = 1 | 1 << degree
     cap, rest = divmod(height, modulus)
     groups: dict[tuple[int, int, int], int] = {}
     for tail in itertools.product(range(modulus), repeat=degree - 1):
         r = ((target - sum(tail)) % modulus, *tail)
         mask = 0
-        for bit, test in testers:
-            if test(r):
+        for bit, degrees in lookups:
+            if degrees(r) == irreducible:
                 mask |= bit
         key = (mask, sum(r), sum(c > rest for c in r))
         groups[key] = groups.get(key, 0) + 1
@@ -303,22 +308,24 @@ def _slice_histogram(degree: int, height: int, modulus: int,
     return histogram
 
 
+def _residue_moduli(degree: int, primes: tuple[int, ...]) -> list[int]:
+    # The moduli of the residue route's passes, in order: each prime up to
+    # the degree, then the product of the primes above it (1 when none).
+    return [*(p for p in primes if p <= degree), math.prod(p for p in primes if p > degree)]
+
+
 def _residue_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
     # The membership histogram by residue class, since membership in A_p
-    # depends on f mod p only.  One pass mod each prime counts |A_p|; A_p
-    # is empty for p <= degree, where f(1) = degree! makes x - 1 a factor.
-    # Only two or more non-empty A_p need one more pass, mod the product
-    # of their primes, for the masks they share.
-    testers = [(1 << i, irreducibility_tester(p, degree)) for i, p in enumerate(primes)]
-    passes = [_slice_histogram(degree, height, p, [tester]) for p, tester in zip(primes, testers)]
-    hit = [i for i, (bit, _) in enumerate(testers) if bit in passes[i]]
-    for i in hit:
-        if primes[i] <= degree:
-            raise RuntimeError(f"A_{primes[i]} is not empty at degree {degree}; this is a bug")
-    if len(hit) == 1:
-        return passes[hit[0]]
-    modulus = math.prod(primes[i] for i in hit)
-    return _slice_histogram(degree, height, modulus, [testers[i] for i in hit])
+    # depends on f mod p only.  A_p is empty for p <= degree, where
+    # f(1) = degree! makes x - 1 a factor; one pass mod each such p checks
+    # that.  The last pass, mod the product of the primes above the degree,
+    # gives every mask; mod 1 it is the one vector with all N(H) lifts.
+    *checks, product = _residue_moduli(degree, primes)
+    for p in checks:
+        if 1 in _slice_histogram(degree, height, p, [(1, factor_degree_sets(p, degree))]):
+            raise RuntimeError(f"A_{p} is not empty at degree {degree}; this is a bug")
+    sifting = [(1 << i, factor_degree_sets(p, degree)) for i, p in enumerate(primes) if p > degree]
+    return _slice_histogram(degree, height, product, sifting)
 
 
 def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
@@ -341,21 +348,20 @@ def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
 
 def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
     # The membership histogram of the admissible set over `primes`, by the
-    # cheaper route: N(H) tests at each prime, or the residue vectors of
-    # the passes _residue_histogram may make, {modulus: vectors}.  Those
-    # are one pass mod each prime, and one mod the product of the primes
-    # above the degree when two or more could have a non-empty A_p; a
-    # size past N(H) * pi(z) is only known to be past it.  The route's
-    # direct tests, at the primes whose polynomials get no lookup table,
-    # are checked against DIRECT_TEST_LIMIT before any test is made.
+    # cheaper route: N(H) tests at each prime (priced as one prime when
+    # there are none, since the enumeration is still walked), or the
+    # residue vectors of the passes _residue_histogram makes, m^(degree-1)
+    # for each modulus m of _residue_moduli; a count past the enumeration's
+    # price is only known to be past it.  The route's direct tests, at the
+    # primes whose polynomials get no lookup table, are checked against
+    # DIRECT_TEST_LIMIT before any test is made.
     size = count_admissible_exact(degree, height)
-    enumerated = size * len(primes)
-    sifting = [p for p in primes if p > degree]
-    moduli = [*primes, math.prod(sifting)] if len(sifting) > 1 else primes
-    passes = {m: _capped_power(m, degree - 1, enumerated) for m in moduli}
+    enumerated = size * max(len(primes), 1)
+    moduli = _residue_moduli(degree, primes)
+    passes = [(m, _capped_power(m, degree - 1, enumerated)) for m in moduli]
     untabled = [p for p in primes if _capped_power(p, degree, TABLE_LIMIT) > TABLE_LIMIT]
-    by_residue = sum(passes.values()) < enumerated
-    tests = (sum(vectors * sum(m % p == 0 for p in untabled) for m, vectors in passes.items())
+    by_residue = sum(vectors for _, vectors in passes) < enumerated
+    tests = (sum(vectors * sum(m % p == 0 for p in untabled) for m, vectors in passes)
              if by_residue else size * len(untabled))
     if tests > DIRECT_TEST_LIMIT:
         raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
@@ -372,11 +378,12 @@ def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance
     They come from the cheaper of two routes: testing all N(H)
     admissible polynomials at each of the pi(z) primes below z, or
     counting by residue class, since membership in A_p depends on f mod
-    p only.  The residue route tests the p^(degree-1) residue vectors
-    mod each prime p on the slice of coefficient sum degree! - 1, and
-    counts the lifts of each with one composition count; when two or
-    more primes above the degree lie below z, it may also need the
-    vectors mod their product.  The closed-form remainder shapes belong
+    p only.  The residue route tests the residue vectors on the slice of
+    coefficient sum degree! - 1, p^(degree-1) of them mod each prime p up
+    to the degree and P^(degree-1) mod the product P of the primes above
+    it, and counts the lifts of each with one composition count.  With
+    no primes below z, P = 1 and its one vector counts all N(H)
+    polynomials.  The closed-form remainder shapes belong
     to the pipeline report, never to this instance.  Raises
     FeasibilityError ("sieve level too large") past INSTANCE_PRIME_LIMIT
     primes below z, and ("sieve work too large") when the chosen route

@@ -16,6 +16,7 @@ from admissible import (
     count_admissible_irreducible,
     enumerate_admissible,
     exact_sifted_count,
+    pipeline_lower_bound,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +31,8 @@ print(json.dumps({{
     "instance": repr(admissible.build_admissible_instance(4, 10, 8)),
     "sifted": admissible.exact_sifted_count(admissible.enumerate_admissible(4, 10), 8),
     "irreducible": admissible.count_admissible_irreducible(3, 6),
+    "pipeline": repr(admissible.pipeline_lower_bound(4, 24)),
+    "enumerated_pipeline": repr(admissible.pipeline_lower_bound(4, 10, 8)),
     "summary": tracer.summary(),
 }}))
 """
@@ -43,6 +46,8 @@ def test_traced_calls_match_untraced_ones():
     assert traced["instance"] == repr(build_admissible_instance(4, 10, 8))
     assert traced["sifted"] == exact_sifted_count(enumerate_admissible(4, 10), 8)
     assert traced["irreducible"] == count_admissible_irreducible(3, 6)
-    assert {"sieve.instance", "sieve.sift", "integer_irreducibility.decide"} <= set(
-        traced["summary"]["spans"]
-    )
+    # The sieve of cli-quartic (residue route), then one that enumerates.
+    assert traced["pipeline"] == repr(pipeline_lower_bound(4, 24))
+    assert traced["enumerated_pipeline"] == repr(pipeline_lower_bound(4, 10, 8))
+    assert {"sieve.instance", "sieve.sift", "sieve.pipeline",
+            "integer_irreducibility.decide"} <= set(traced["summary"]["spans"])

@@ -22,7 +22,6 @@ from admissible.finite_field import (
     audit_irreducible_counts,
     count_irreducibles_exact,
     factor_degree_sets,
-    irreducibility_tester,
     irreducible_table,
     is_prime,
     mobius,
@@ -68,7 +67,7 @@ def test_modulus_limit_is_checked_before_trial_division():
     for call in (
         lambda: is_prime(1000000000000000003),
         lambda: count_irreducibles_exact(2, 1000000000000000003),
-        lambda: irreducibility_tester(1000000000000000003, 2),
+        lambda: factor_degree_sets(1000000000000000003, 2),
         lambda: audit_irreducible_counts(2, [3, 1000000000000000003]),
     ):
         with pytest.raises(FeasibilityError, match="modulus too large"):
@@ -82,14 +81,15 @@ def test_mobius_values():
 
 
 def test_tester_reduces_integer_coefficients():
-    # The predicate takes a_0, ..., a_{n-1} of a monic integer polynomial.
-    assert not irreducibility_tester(2, 3)((1, 2, 2))  # x^3 + 1 = (x + 1)(x^2 + x + 1)
-    assert not irreducibility_tester(3, 3)((1, 3, 1))  # x^3 + x^2 + 1, root x = 1
-    assert not irreducibility_tester(5, 2)((1, 0))  # x^2 + 1, root x = 2
-    assert irreducibility_tester(2, 2)((-1, 3))  # x^2 + x + 1
+    # The lookup takes a_0, ..., a_{n-1} of a monic integer polynomial, and
+    # f is irreducible mod p iff its divisor degrees are {0, n}.
+    assert factor_degree_sets(2, 3)((1, 2, 2)) != 1 | 1 << 3  # x^3 + 1 = (x + 1)(x^2 + x + 1)
+    assert factor_degree_sets(3, 3)((1, 3, 1)) != 1 | 1 << 3  # x^3 + x^2 + 1, root x = 1
+    assert factor_degree_sets(5, 2)((1, 0)) != 1 | 1 << 2  # x^2 + 1, root x = 2
+    assert factor_degree_sets(2, 2)((-1, 3)) == 1 | 1 << 2  # x^2 + x + 1
     # 191^2 > TABLE_LIMIT, so the direct test answers: x^2 - 190 = x^2 + 1 mod 191,
     # and -1 is no square mod a prime = 3 mod 4.
-    assert irreducibility_tester(191, 2)((-190, 0))
+    assert factor_degree_sets(191, 2)((-190, 0)) == 1 | 1 << 2
 
 
 @given(
@@ -100,7 +100,8 @@ def test_tester_reduces_integer_coefficients():
 def test_tester_agrees_with_rabin_on_integer_coefficients(p, coeffs):
     # Tables answer while p^degree <= TABLE_LIMIT, the direct test past it.
     expected = is_irreducible_rabin([c % p for c in coeffs] + [1], p)
-    assert irreducibility_tester(p, len(coeffs))(coeffs) == expected
+    n = len(coeffs)
+    assert (factor_degree_sets(p, n)(coeffs) == 1 | 1 << n) == expected
 
 
 def test_arithmetic_anchors():
@@ -236,7 +237,7 @@ def test_direct_test_agrees_with_rabin_past_the_table_limit(pn, data):
     fc = [c % p for c in tail] + [1]
     want = is_irreducible_rabin(fc, p)
     assert _is_irreducible_raw(fc, p) == want
-    assert irreducibility_tester(p, n)(tail) == want
+    assert (factor_degree_sets(p, n)(tail) == 1 | 1 << n) == want
 
 
 @pytest.mark.parametrize("p", [17, 19])
@@ -245,7 +246,7 @@ def test_artin_schreier_polynomials_are_irreducible(p):
     fc = [p - 1, p - 1] + [0] * (p - 2) + [1]
     assert is_irreducible_rabin(fc, p)
     assert _is_irreducible_raw(fc, p)
-    assert irreducibility_tester(p, p)(fc[:-1])
+    assert factor_degree_sets(p, p)(fc[:-1]) == 1 | 1 << p
 
 
 def test_non_squarefree_inputs_are_reducible():
@@ -254,7 +255,7 @@ def test_non_squarefree_inputs_are_reducible():
     assert is_irreducible_rabin([1, 0, 1], 191) and _is_irreducible_raw([1, 0, 1], 191)
     assert not is_irreducible_rabin(fc, 191)
     assert not _is_irreducible_raw(fc, 191)
-    assert not irreducibility_tester(191, 4)(fc[:-1])
+    assert factor_degree_sets(191, 4)(fc[:-1]) != 1 | 1 << 4
     # (x + 1)^4 = x^4 + 1 mod 2 has a zero derivative.
     fc = [1, 0, 0, 0, 1]
     assert not is_irreducible_rabin(fc, 2)
@@ -350,9 +351,9 @@ def test_tester_rejects_a_composite_modulus_at_once():
     # never ends over Z/200.  4^2 fits a table, which rejects 4 itself.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="not prime: 200"):
-        irreducibility_tester(200, 2)
+        factor_degree_sets(200, 2)
     with pytest.raises(ValueError, match="not prime: 4"):
-        irreducibility_tester(4, 2)
+        factor_degree_sets(4, 2)
     assert time.perf_counter() - start < 1
 
 

@@ -28,13 +28,15 @@ ORACLE_NAMES = (
 # that Rabin's criterion needed, folded into mobius, with the limit named
 # after that criterion, now DIRECT_TEST_LIMIT; the index walk over all p^n
 # monic polynomials and the table-or-direct selector, replaced by tables
-# per class f(1) mod p behind one lookup path.
+# per class f(1) mod p behind one lookup path; and that path's private
+# builder and its irreducibility predicate, folded into factor_degree_sets.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
     "PROBE_PRIMES",
     "PrimeFieldPolynomial",
     "RABIN_TEST_LIMIT",
+    "_divisor_degrees",
     "_prime_divisors",
     "_same_modulus",
     "_table_or_direct",
@@ -46,6 +48,7 @@ DELETED_NAMES = (
     "fp_mod",
     "fp_mul",
     "fp_powmod",
+    "irreducibility_tester",
     "is_irreducible_mod_p",
     "prime_count",
     "reduce_mod_p",

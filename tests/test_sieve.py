@@ -153,21 +153,21 @@ def test_exact_sifted_count_anchors():
 def test_exact_sifted_count_stops_at_the_first_irreducible_reduction(monkeypatch):
     calls = 0
     at_root_one = []  # (p, coeffs) tested with p | f(1), where x - 1 divides f mod p
-    tester = sieve.irreducibility_tester
+    lookup = sieve.factor_degree_sets
 
-    def counted_tester(p, degree):
-        test = tester(p, degree)
+    def counted_lookup(p, degree):
+        degrees = lookup(p, degree)
 
         def counted(coeffs):
             nonlocal calls
             calls += 1
             if (sum(coeffs) + 1) % p == 0:
                 at_root_one.append((p, coeffs))
-            return test(coeffs)
+            return degrees(coeffs)
 
         return counted
 
-    monkeypatch.setattr(sieve, "irreducibility_tester", counted_tester)
+    monkeypatch.setattr(sieve, "factor_degree_sets", counted_lookup)
     n, h, z = 4, 12, 14  # primes 2, ..., 13; A_2 and A_3 are empty for quartics
     sifted = exact_sifted_count(enumerate_admissible(n, h), z)
     assert sifted == brute_sieve_counts(n, h, z)[2]
@@ -324,8 +324,8 @@ def test_sieve_data_matches_brute_force_property(n, h, z):
 def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
     # (4, 24, z=6): 2^3 + 3^3 + 5^3 = 160 residue vectors against 2,600 * 3
     # tests, so the sieve counts by residue class and only A(H) enumerates.
-    # (4, 24, z=8): 2,600 * 4 = 10,400 tests against 160 + 7^3 + 35^3 =
-    # 43,378 vectors, so the sieve enumerates too.
+    # (4, 24, z=8): 2,600 * 4 = 10,400 tests against 2^3 + 3^3 + 35^3 =
+    # 42,910 vectors, so the sieve enumerates too.
     calls = []
 
     def counted_enumerate(*args):
@@ -369,10 +369,10 @@ def test_pipeline_compares_closed_form_n_h_with_the_a_h_enumeration(monkeypatch)
 
 
 def test_instance_prime_limit_is_checked_before_any_membership_test(monkeypatch):
-    def no_tester(p, degree):
-        raise AssertionError("a tester was built past the prime limit")
+    def no_lookup(p, degree):
+        raise AssertionError("a lookup was built past the prime limit")
 
-    monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
+    monkeypatch.setattr(sieve, "factor_degree_sets", no_lookup)
     start = time.monotonic()
     with pytest.raises(FeasibilityError, match="sieve level too large"):
         build_admissible_instance(3, 6, 100_000)
@@ -391,10 +391,10 @@ def test_instance_prime_limit_is_inclusive(monkeypatch):
 
 
 def test_direct_test_limit_is_checked_before_any_membership_test(monkeypatch):
-    def no_tester(p, degree):
-        raise AssertionError("a tester was built past the direct test limit")
+    def no_lookup(p, degree):
+        raise AssertionError("a lookup was built past the direct test limit")
 
-    monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
+    monkeypatch.setattr(sieve, "factor_degree_sets", no_lookup)
     start = time.monotonic()
     # 2,600 quartics times the 494 primes from 17 to 3,571, whose quartics get no table.
     message = "sieve work too large: 1284400 direct tests"
@@ -437,6 +437,39 @@ def test_residue_route_product_pass_at_the_smoke_instance():
     assert sieve._residue_histogram(4, 10, primes_below(8)) == histogram
 
 
+def test_residue_route_walks_each_prime_up_to_the_degree_and_one_product(monkeypatch):
+    # Mod 2 and 3 the passes only check that A_2 and A_3 are empty; the
+    # masks of 5 and 7 all come from the one pass mod 35.
+    moduli = []
+    real = sieve._slice_histogram
+
+    def counted_slice(degree, height, modulus, lookups):
+        moduli.append(modulus)
+        return real(degree, height, modulus, lookups)
+
+    monkeypatch.setattr(sieve, "_slice_histogram", counted_slice)
+    primes = (2, 3, 5, 7)
+    histogram = sieve._residue_histogram(4, 10, primes)
+    assert moduli == [2, 3, 35]
+    assert histogram == sieve._membership_histogram(enumerate_admissible(4, 10), primes)
+
+
+def test_an_instance_with_no_primes_below_z_is_counted_not_enumerated(monkeypatch):
+    # With no prime below z the histogram is {0: N(H)}: the residue route
+    # reads it off its one vector mod 1, where enumerating would walk
+    # 9,078,630 quintics or stop at ENUM_LIMIT for the sextics.
+    def no_enumeration(*args):
+        raise AssertionError("the ambient set was enumerated")
+
+    monkeypatch.setattr(sieve, "enumerate_admissible", no_enumeration)
+    start = time.process_time()
+    inst = build_admissible_instance(6, 719, 2)
+    assert inst.ambient_size == 1_634_935_320_144
+    assert inst.primes == ()
+    assert build_admissible_instance(5, 119, 2).ambient_size == 9_078_630
+    assert time.process_time() - start < 1
+
+
 def test_residue_route_at_degree_6():
     # 16,807 distinct-degree factorizations mod 7.  Enumeration, with 42,504
     # of them (past DIRECT_TEST_LIMIT, and seconds more), gives the same 8,495.
@@ -446,9 +479,10 @@ def test_residue_route_at_degree_6():
 
 
 def test_residue_route_flags_a_non_empty_a_p_below_the_degree(monkeypatch):
-    # f(1) = n! makes x - 1 a factor mod every p <= n; a tester that says
+    # f(1) = n! makes x - 1 a factor mod every p <= n; a lookup that says
     # otherwise can only be a bug.
-    monkeypatch.setattr(sieve, "irreducibility_tester", lambda p, degree: lambda coeffs: True)
+    monkeypatch.setattr(sieve, "factor_degree_sets",
+                        lambda p, degree: lambda coeffs: 1 | 1 << degree)
     with pytest.raises(RuntimeError, match="A_2 is not empty at degree 4; this is a bug"):
         sieve._residue_histogram(4, 10, (2,))
 
@@ -471,7 +505,7 @@ def test_cost_model_picks_the_cheaper_route(monkeypatch):
     assert inst.pair_counts[(7, 7)] == 130_179
     assert all(c == 0 for key, c in inst.pair_counts.items() if key != (7, 7))
     assert turan_upper_bound(inst) == Fraction(37_194_885, 16)
-    # (4, 10, 8): 804 * 4 tests against 8 + 27 + 125 + 343 + 35^3 vectors.
+    # (4, 10, 8): 804 * 4 tests against 8 + 27 + 35^3 vectors.
     inst = build_admissible_instance(4, 10, 8)
     assert routes == [(4, 10)]
     assert inst.pair_counts[(5, 7)] == 70
@@ -492,10 +526,10 @@ def test_residue_route_answers_6_130_9(monkeypatch):
 
 
 def test_pipeline_limits_are_checked_before_any_membership_test(monkeypatch):
-    def no_tester(p, degree):
-        raise AssertionError("a tester was built past a limit")
+    def no_lookup(p, degree):
+        raise AssertionError("a lookup was built past a limit")
 
-    monkeypatch.setattr(sieve, "irreducibility_tester", no_tester)
+    monkeypatch.setattr(sieve, "factor_degree_sets", no_lookup)
     # 142,506 sextics tested at p = 7 and 11, against 77^5 vectors mod 77.
     with pytest.raises(FeasibilityError, match="sieve work too large: 285012 direct tests"):
         pipeline_lower_bound(6, 124, z_override=12)
