@@ -250,10 +250,9 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     Index i encodes the non-leading coefficients as base-p digits with
     a_0 least significant.  Only built when p^degree <= TABLE_LIMIT.
     Entry i is True iff the polynomial's only monic divisors have degree
-    0 and degree, read off the divisor-degree tables of its class f(1)
-    mod p.  No library code calls it: it is a view kept for
-    `bench/tracer.py` until that tracer reads run statistics from the
-    library (ROADMAP direction 3).
+    0 and degree, read through `factor_degree_sets`.  No library code
+    calls it: it is a view kept for `bench/tracer.py` until that tracer
+    reads run statistics from the library (ROADMAP direction 1).
     """
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
@@ -264,14 +263,10 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
         raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
     if degree == 1:  # every x + a_0 is irreducible, with no class table to build
         return (True,) * p
-    classes = [_divisor_degree_table(p, degree, c) for c in range(p)]
-    sums = [0]  # digit sums of the class index j = a_1 + a_2 p + ...
-    for _ in range(degree - 1):
-        sums = [s + d for d in range(p) for s in sums]
+    degrees = factor_degree_sets(p, degree)
     irreducible = 1 | 1 << degree
-    # Index a_0 + p * j holds the entry j of class a_0 + sum(a_1, ...) + 1.
-    return tuple(classes[(a0 + s + 1) % p][j] == irreducible
-                 for j, s in enumerate(sums) for a0 in range(p))
+    return tuple(degrees(digits[::-1]) == irreducible
+                 for digits in itertools.product(range(p), repeat=degree))
 
 
 def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:

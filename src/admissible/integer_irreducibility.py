@@ -3,27 +3,26 @@
 Every verdict is checkable: a reducible answer always carries a monic
 factor pair (g, h) with g*h = f.  Monic polynomials are primitive, so
 irreducible over Z and over Q coincide and no content bookkeeping is
-needed.  The decision runs in four stages:
+needed.  The decision runs in three stages:
 
 1. a_0 = 0 peels off a factor of x (for degree >= 2).
-2. Linear factors: x + b can divide f only if b | a_0 and
-   1 + b | f(1).  Each such b in the Mignotte box is tried, so a
-   polynomial of degree <= 3 is decided here.
-3. Factor-degree sets mod the primes of FACTOR_DEGREE_PRIMES, in order:
+2. Factor-degree sets mod the primes of FACTOR_DEGREE_PRIMES, in order:
    a monic factor of degree m over Z stays a monic divisor of degree m
-   mod every p, so only the degrees 2 <= m <= deg f / 2 found at every
-   prime can be factor degrees.  Once none is left, f is irreducible.
-4. Otherwise a finite search over candidate monic factors g with
-   deg g = m among the surviving degrees.  The constant term of g must
-   divide a_0 and coefficient i of g is confined to the Mignotte factor
-   bound B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the search space is
-   finite.  Within it only candidates with g(1) | f(1) and
-   g(-1) | f(-1) are divided out, and the top coefficient is solved
-   from the first condition.
+   mod every p, so only the degrees 1 <= m <= deg f / 2 found at every
+   prime can be factor degrees.  The primes stop once no degree >= 2 is
+   left; a polynomial of degree <= 3 needs none of them.
+3. A finite search over candidate monic factors g with deg g = m among
+   the surviving degrees, the linear ones x + b first.  The constant
+   term of g must divide a_0 and coefficient i of g is confined to the
+   Mignotte factor bound B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the
+   search space is finite.  Within it only candidates with g(1) | f(1)
+   and g(-1) | f(-1) are divided out, and for m >= 2 the top
+   coefficient is solved from the first condition.  If no degree
+   survives, f is irreducible without a single division.
 
-The degree sets of stage 3 are computed before stage 2, so that the
-candidates f may need, the linear ones and those of the degrees stage 3
-leaves, are counted against SEARCH_LIMIT before any is tried.
+The candidates f may need, the linear ones and those of the degrees
+>= 2 that stage 2 leaves, are counted against SEARCH_LIMIT before any
+is tried.
 
 Every stage only drops candidates that cannot divide f, and the box is
 searched degree by degree, so the witness is the first divisor of the
@@ -38,7 +37,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .combinatorics import binomial
 from .errors import FeasibilityError
@@ -49,8 +48,8 @@ from .polynomials import MonicIntPolynomial, enumerate_admissible
 FACTOR_DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 # Most candidate factors one polynomial may need from its Mignotte box:
-# the linear ones, plus those of the degrees its factor-degree sets leave;
-# they are counted before any is tried.
+# the linear ones, plus those of the degrees >= 2 its factor-degree sets
+# leave; they are counted before any is tried.
 SEARCH_LIMIT = 10**9
 
 
@@ -123,7 +122,7 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
 
     Raises FeasibilityError ("search space exceeded") when the part of
     the Mignotte box that f needs holds more than SEARCH_LIMIT candidate
-    factors: the linear candidates plus those of the degrees its
+    factors: the linear candidates plus those of the degrees >= 2 its
     factor-degree sets leave open, counted before any is tried.  It
     never returns a wrong answer.
     """
@@ -137,22 +136,15 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     box = _mignotte_box(f)
     degrees = _open_degrees(f)
     _check_search_space(box[:1] + [part for part in box[1:] if degrees >> part[0] & 1])
-    full = list(f.all_coefficients())
-    at_one = sum(full)
-    # x + b in box order (b | a_0, |b| <= ||f||_2), where g(1) = 1 + b must divide f(1).
-    linear = _first_factor(full, 1, ([b, 1] for b in box[0][2] if _divides(1 + b, at_one)))
-    if linear is not None:
-        return linear
-    if not degrees:
-        return FactorizationWitness("irreducible")
     return _bounded_factor_search(f, [part for part in box if degrees >> part[0] & 1])
 
 
 def _open_degrees(f: MonicIntPolynomial) -> int:
-    # Bits 2..n/2 left in the factor-degree sets of f mod FACTOR_DEGREE_PRIMES.
-    degrees = (2 << f.degree // 2) - 4
+    # Bits 1..n/2 left in the factor-degree sets of f mod FACTOR_DEGREE_PRIMES;
+    # the primes stop once no bit >= 2 is left.
+    degrees = (2 << f.degree // 2) - 2
     for p in FACTOR_DEGREE_PRIMES:
-        if not degrees:
+        if degrees < 4:
             break
         degrees &= _irreducible_mod(f, p)
     return degrees
@@ -188,12 +180,16 @@ def _divides(d: int, value: int) -> bool:
 
 def _candidates(bounds: list[int], divisors: list[int], at_one: int,
                 at_minus_one: int) -> Iterator[list[int]]:
-    # Candidate factors [b_0, ..., b_{m-1}, 1] of degree m = len(bounds) >= 2,
+    # Candidate factors [b_0, ..., b_{m-1}, 1] of degree m = len(bounds),
     # in box order: b_0 over `divisors`, then b_1, ..., b_{m-1}
     # lexicographically, each ascending within its Mignotte bound.  Only
     # those with g(1) | f(1) and g(-1) | f(-1) are yielded, a subsequence
     # that keeps every factor.
     m = len(bounds)
+    if m == 1:  # x + b: g(1) = 1 + b, g(-1) = b - 1
+        yield from ([b, 1] for b in divisors
+                    if _divides(1 + b, at_one) and _divides(b - 1, at_minus_one))
+        return
     top = bounds[-1]
     # Every value g(1) may take, ascending; |g(1)| <= 1 + sum of the bounds.
     values = sorted(_signed_divisors(at_one, sum(bounds) + 1)) if at_one else None
@@ -212,30 +208,21 @@ def _candidates(bounds: list[int], divisors: list[int], at_one: int,
                 yield [*head, b, 1]
 
 
-def _first_factor(full: list[int], m: int,
-                  candidates: Iterable[list[int]]) -> FactorizationWitness | None:
-    # The first candidate g of degree m dividing f, with its cofactor.
-    for g in candidates:
-        q, r = _divmod_by_monic(full, g)
-        if not any(r):
-            gp = MonicIntPolynomial(m, tuple(g[:-1]))
-            hp = MonicIntPolynomial(len(full) - 1 - m, tuple(q[:-1]))
-            return FactorizationWitness("reducible", (gp, hp))
-    return None
-
-
 def _bounded_factor_search(
     f: MonicIntPolynomial, box: list[tuple[int, list[int], list[int]]]
 ) -> FactorizationWitness:
-    # The first divisor of f among the candidates of `box` (degrees >= 2),
-    # degree by degree.
+    # The first divisor of f among the candidates of `box`, degree by degree.
     full = list(f.all_coefficients())
     at_one = sum(full)
     at_minus_one = sum(full[::2]) - sum(full[1::2])
     for m, bounds, divisors in box:
-        found = _first_factor(full, m, _candidates(bounds, divisors, at_one, at_minus_one))
-        if found is not None:
-            return found
+        for g in _candidates(bounds, divisors, at_one, at_minus_one):
+            q, r = _divmod_by_monic(full, g)
+            if not any(r):
+                return FactorizationWitness("reducible", (
+                    MonicIntPolynomial(m, tuple(g[:-1])),
+                    MonicIntPolynomial(f.degree - m, tuple(q[:-1])),
+                ))
     return FactorizationWitness("irreducible")
 
 

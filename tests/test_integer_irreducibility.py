@@ -172,12 +172,14 @@ def _first_divisor(f):
 
 
 def test_witnesses_are_the_first_divisor_of_the_whole_box():
-    # The linear stage, the degree sets and the g(1), g(-1) rules only skip
-    # non-divisors, so the witness is the first divisor of the unpruned box.
+    # The degree sets and the g(1), g(-1) rules only skip non-divisors,
+    # so the witness is the first divisor of the unpruned box.  The
+    # quintic grid holds 2,500 polynomials with a_0 != 0, 688 reducible.
     polys = [
         *enumerate_admissible(4, 12),
         *(MonicIntPolynomial(3, c) for c in itertools.product(range(-4, 5), repeat=3)),
         *(MonicIntPolynomial(4, c) for c in itertools.product(range(-2, 3), repeat=4)),
+        *(MonicIntPolynomial(5, c) for c in itertools.product(range(-2, 3), repeat=5)),
     ]
     for f in polys:
         if f.coeffs[0]:
@@ -206,18 +208,38 @@ def test_quadratic_factors_when_f_vanishes_at_one_and_minus_one():
 
 def test_degree_sets_leave_13_searches_at_a_5_27(monkeypatch):
     # Of the 4,845 quintics at (5, 27), 2,260 are reducible mod each of
-    # 2, 3, 5, 7, 11 and 13.  After the linear factors, the intersected
-    # degree sets leave 13 with a possible quadratic factor.
+    # 2, 3, 5, 7, 11 and 13.  Every one enters the box search, but the
+    # intersected degree sets leave only 13 with a possible quadratic
+    # factor, and 1,494 with no factor degree at all, not even 1.
     search = integer_irreducibility._bounded_factor_search
-    entries = []
+    boxes = []
 
     def counted(f, box):
-        entries.append(f)
+        boxes.append([part[0] for part in box])
         return search(f, box)
 
     monkeypatch.setattr(integer_irreducibility, "_bounded_factor_search", counted)
     assert count_admissible_irreducible(5, 27) == 4844
-    assert len(entries) == 13
+    assert len(boxes) == 4845
+    assert sum(max(box, default=0) >= 2 for box in boxes) == 13
+    assert sum(not box for box in boxes) == 1494
+
+
+def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
+    # At (5, 27) the degree sets rule out x + b for most quintics, so the
+    # box search makes 5,493 long divisions; trying every linear
+    # candidate made 23,862.  The mod-p lookups stay at 16,638.
+    calls = {"_divmod_by_monic": 0, "_irreducible_mod": 0}
+    for name in calls:
+        original = getattr(integer_irreducibility, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(integer_irreducibility, name, counted)
+    assert count_admissible_irreducible(5, 27) == 4844
+    assert calls == {"_divmod_by_monic": 5493, "_irreducible_mod": 16638}
 
 
 def test_verdicts_agree_with_sympy():

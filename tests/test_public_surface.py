@@ -29,7 +29,8 @@ ORACLE_NAMES = (
 # after that criterion, now DIRECT_TEST_LIMIT; the index walk over all p^n
 # monic polynomials and the table-or-direct selector, replaced by tables
 # per class f(1) mod p behind one lookup path; and that path's private
-# builder and its irreducibility predicate, folded into factor_degree_sets.
+# builder and its irreducibility predicate, folded into factor_degree_sets;
+# and the separate linear-factor loop, now degree 1 of the box search.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -37,6 +38,7 @@ DELETED_NAMES = (
     "PrimeFieldPolynomial",
     "RABIN_TEST_LIMIT",
     "_divisor_degrees",
+    "_first_factor",
     "_prime_divisors",
     "_same_modulus",
     "_table_or_direct",
