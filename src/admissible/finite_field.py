@@ -16,8 +16,12 @@ built by striking out every product g*h with g monic irreducible of
 degree <= n/2 and g(1) h(1) = c, each entry storing the divisor degrees
 read off the class table of the cofactor h.  Past the table limit, one
 polynomial's divisor degrees come from its distinct-degree
-factorization, the one direct algorithm here.  The exact count of monic
-irreducibles of each degree comes from the Gauss/Moebius formula.
+factorization, the one direct algorithm here: x^p mod f by binary
+powering, then each later stage x^(p^d) mod f as one product with the
+Frobenius rows x^(ip) mod f, i < n, since h(x)^p = h(x^p) over F_p
+(Berlekamp's Q-matrix).  f is monic, so every product is reduced by it
+without an inverse.  The exact count of monic irreducibles of each
+degree comes from the Gauss/Moebius formula.
 """
 
 from __future__ import annotations
@@ -92,24 +96,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _sub(a: list[int], b: list[int], p: int) -> list[int]:
-    c = list(a) + [0] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        c[i] = (c[i] - bi) % p
-    return _trim(c)
-
-
-def _mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    c = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] += ai * bj
-    return _trim([x % p for x in c])
-
-
 def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     if not b:
         raise ZeroDivisionError("zero divisor")
@@ -128,35 +114,47 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _mod(a: list[int], b: list[int], p: int) -> list[int]:
-    return _divmod(a, b, p)[1]
-
-
-def _monic(a: list[int], p: int) -> list[int]:
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [(x * inv) % p for x in a]
-
-
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _mod(a, b, p)
-    return _monic(a, p)
+    # Monic gcd by Euclid.  Each step reduces the dividend in place by the
+    # divisor s: one inverse of s's leading coefficient, one % p per
+    # quotient coefficient, then one % p pass over the remainder.  The
+    # last inverse makes the result monic.
+    r, s = list(a), list(b)
+    if not s:
+        r, s = s, r
+    neg_inv = 0
+    while s:
+        neg_inv = -pow(s[-1], -1, p)
+        low = s[:-1]
+        n = len(low)
+        while len(r) > n:
+            q = r.pop() * neg_inv % p
+            if q:
+                for j, sj in enumerate(low, len(r) - n):
+                    r[j] += q * sj
+        r, s = s, _trim([c % p for c in r])
+    return [c * -neg_inv % p for c in r]
 
 
-def _powmod(base: list[int], exp: int, modulus: list[int], p: int) -> list[int]:
-    if exp < 0:
-        raise ValueError("negative exponent")
-    result = _mod([1], modulus, p)
-    acc = _mod(base, modulus, p)
-    while exp:
-        if exp & 1:
-            result = _mod(_mul(result, acc, p), modulus, p)
-        exp >>= 1
-        if exp:
-            acc = _mod(_mul(acc, acc, p), modulus, p)
-    return result
+def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    # a * b mod the monic m, for a and b reduced mod m: a schoolbook
+    # product, then a top-down reduction that cancels each leading
+    # coefficient with one multiple of m, so it needs no inverse.
+    if not a or not b:
+        return []
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                c[j] += ai * bj
+    low = m[:-1]
+    n = len(low)
+    while len(c) > n:
+        q = c.pop() % p
+        if q:
+            for j, mj in enumerate(low, len(c) - n):
+                c[j] -= q * mj
+    return _trim([x % p for x in c])
 
 
 # --- irreducibility -------------------------------------------------------
@@ -167,22 +165,45 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
     # factors of degree < d are divided out, gcd(x^(p^d) - x, f) is the
     # product of the irreducible factors of degree d.  A repeated factor
     # breaks that count, so a non-squarefree f gets every degree 0..n.
+    # Stage 1 finds x^p mod f by binary powering.  Over F_p, h(x)^p =
+    # h(x^p), so every later stage is one product with the Frobenius rows
+    # x^(ip) mod f, i < n (Berlekamp's Q-matrix), built once at stage 2.
+    # h stays reduced mod f: `rest` divides f, so gcd(h - x, rest) is the
+    # same and the rows outlive every split.
     n = len(fc) - 1
     derivative = _trim([i * c % p for i, c in enumerate(fc)][1:])
     if _gcd(fc, derivative, p) != [1]:
         return (2 << n) - 1
-    x = [0, 1]
     degrees = 1
-    h, rest, d = x, fc, 0
+    h, rest, d, rows = [0, 1], fc, 0, []
     while 2 * (d + 1) <= len(rest) - 1:
         d += 1
-        h = _powmod(h, p, rest, p)
-        g = _gcd(_sub(h, x, p), rest, p)
+        if d == 1:
+            for bit in bin(p)[3:]:
+                h = _mulmod(h, h, fc, p)
+                if bit == "1":  # times x: a shift, then one multiple of f off x^n
+                    h = [0, *h]
+                    if len(h) > n:
+                        top = h.pop()
+                        h = _trim([(c - top * fi) % p for c, fi in zip(h, fc)])
+        else:
+            if not rows:
+                rows = [[1], h]
+                for _ in range(n - 2):
+                    rows.append(_mulmod(rows[-1], rows[1], fc, p))
+            acc = [0] * n
+            for hi, row in zip(h, rows):
+                if hi:
+                    for j, rj in enumerate(row):
+                        acc[j] += hi * rj
+            h = _trim([c % p for c in acc])
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        g = _gcd(_trim(h_minus_x), rest, p)
         if len(g) > 1:
             for _ in range((len(g) - 1) // d):
                 degrees |= degrees << d
             rest = _divmod(rest, g, p)[0]
-            h = _mod(h, rest, p)
     if len(rest) > 1:  # no factor of degree <= d left, so rest is irreducible
         degrees |= degrees << len(rest) - 1
     return degrees
@@ -290,11 +311,17 @@ def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
     if p**degree > TABLE_LIMIT:
         return lambda coeffs: _distinct_degree_sets([c % p for c in coeffs] + [1], p)
 
+    tables: list[tuple[int, ...] | None] = [None] * p  # slot c: the table of class c
+
     def lookup(coeffs: Sequence[int]) -> int:
         idx = 0
         for c in coeffs[:0:-1]:
             idx = idx * p + c % p
-        return _divisor_degree_table(p, degree, (sum(coeffs) + 1) % p)[idx]
+        c = (sum(coeffs) + 1) % p
+        table = tables[c]
+        if table is None:
+            table = tables[c] = _divisor_degree_table(p, degree, c)
+        return table[idx]
 
     return lookup
 

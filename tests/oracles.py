@@ -4,16 +4,20 @@ Most of this file is deliberately primitive and self-contained: plain
 tuple enumeration, Pascal's triangle, an odd-only prime sieve, and an
 unpruned factor-pair search with its own division routine (which also
 yields the first divisor in the package's box order).  None of that
-shares code with the package paths it checks.  Six oracles do call
+shares code with the package paths it checks.  The list arithmetic
+over F_p that the package no longer calls lives here too: `_sub`,
+`_mul`, `_mod` (the remainder of the package's `_divmod`) and `_powmod`
+(square and multiply over `_mul` and `_mod`).  Six oracles do call
 package internals:
 
 * `is_irreducible_trial_division`, `brute_divisor_degrees` and
-  `is_squarefree_trial_division` divide with the package's `_mod` (the
-  last also squares with `_mul`), so they are independent of the tables
-  and the distinct-degree factorization, but not of the arithmetic;
+  `is_squarefree_trial_division` divide with `_mod`, so they share the
+  package's `_divmod` (the last also squares with `_mul`), but are
+  independent of the tables and the distinct-degree factorization;
 * `is_irreducible_rabin` is Rabin's criterion, a second direct algorithm
-  beside the package's distinct-degree factorization, built on the
-  package's `_powmod`, `_gcd` and `_sub`;
+  beside the package's distinct-degree factorization, built on `_powmod`
+  and `_sub` from this file and the package's `_gcd`: it shares the
+  gcd, not the factorization's products;
 * `count_irreducibles_exhaustive` runs `is_irreducible_rabin` on every
   polynomial, so it checks the Gauss/Moebius count;
 * `brute_sieve_counts` decides membership mod p with
@@ -25,11 +29,47 @@ import math
 
 from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
-from admissible.finite_field import _gcd, _mod, _mul, _powmod, _sub, is_prime
+from admissible.finite_field import _divmod, _gcd, _trim, is_prime
 from admissible.polynomials import MonicIntPolynomial
 
 DEFAULT_ORACLE_LIMIT = 10**8
 DEFAULT_EXHAUSTIVE_LIMIT = 10**7
+
+
+def _sub(a: list[int], b: list[int], p: int) -> list[int]:
+    c = list(a) + [0] * (len(b) - len(a))
+    for i, bi in enumerate(b):
+        c[i] = (c[i] - bi) % p
+    return _trim(c)
+
+
+def _mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    c = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                c[i + j] += ai * bj
+    return _trim([x % p for x in c])
+
+
+def _mod(a: list[int], b: list[int], p: int) -> list[int]:
+    return _divmod(a, b, p)[1]
+
+
+def _powmod(base: list[int], exp: int, modulus: list[int], p: int) -> list[int]:
+    if exp < 0:
+        raise ValueError("negative exponent")
+    result = _mod([1], modulus, p)
+    acc = _mod(base, modulus, p)
+    while exp:
+        if exp & 1:
+            result = _mod(_mul(result, acc, p), modulus, p)
+        exp >>= 1
+        if exp:
+            acc = _mod(_mul(acc, acc, p), modulus, p)
+    return result
 
 
 def brute_count_tuples(parts: int, target: int, cap: int) -> int:

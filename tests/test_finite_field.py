@@ -16,9 +16,7 @@ from admissible.finite_field import (
     _divmod,
     _gcd,
     _is_irreducible_raw,
-    _mod,
-    _mul,
-    _powmod,
+    _mulmod,
     audit_irreducible_counts,
     count_irreducibles_exact,
     factor_degree_sets,
@@ -30,6 +28,9 @@ from admissible.integer_irreducibility import count_admissible_irreducible
 from admissible.sieve import primes_below
 
 from oracles import (
+    _mod,
+    _mul,
+    _powmod,
     brute_divisor_degrees,
     brute_mobius,
     count_irreducibles_exhaustive,
@@ -129,6 +130,30 @@ def test_zero_divisor():
         _mod([1, 1], [], 3)
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         _powmod([0, 1], 5, [], 3)
+
+
+def _reduced(p, m):
+    # Every polynomial over F_p of degree < m, trimmed.
+    return [_mod(list(t), [0] * m + [1], p) for t in itertools.product(range(p), repeat=m)]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2)])
+def test_mulmod_matches_product_then_remainder(p, m):
+    # Every monic modulus of degree m and every pair of residues mod it.
+    residues = _reduced(p, m)
+    for tail in itertools.product(range(p), repeat=m):
+        modulus = list(tail) + [1]
+        for a in residues:
+            for b in residues:
+                assert _mulmod(a, b, modulus, p) == _mod(_mul(a, b, p), modulus, p), (
+                    p, modulus, a, b)
+
+
+def test_gcd_is_monic_and_takes_the_zero_polynomial():
+    assert _gcd([2, 4], [], 5) == [3, 1]  # 4x + 2 = 4(x + 3)
+    assert _gcd([], [0, 3], 5) == [0, 1]
+    assert _gcd([], [], 5) == []
+    assert _gcd([1, 0, 1], [2, 2], 3) == [1]  # x^2 + 1 has no root mod 3
 
 
 def test_irreducibility_anchors():
@@ -280,7 +305,7 @@ def test_divisor_degree_table_matches_trial_division(p, n):
         )
 
 
-@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 4), (7, 3), (3, 5)])
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4), (5, 4), (7, 3), (3, 5), (2, 8)])
 def test_distinct_degree_sets_match_trial_division(p, n):
     # Every monic polynomial of small grids, squarefree or not.
     every = (2 << n) - 1
@@ -308,6 +333,60 @@ def test_factor_degree_sets_past_the_table_limit(pn, data):
         assert got == brute_divisor_degrees(fc, p)
     else:
         assert got == (2 << n) - 1
+
+
+@pytest.mark.parametrize("p, n, examples", [(7, 6, 40), (11, 6, 40), (37, 7, 6)])
+def test_distinct_degree_sets_match_trial_division_at_degrees_6_and_7(p, n, examples):
+    # Degree 6 and up can reach a third stage and split after the Frobenius
+    # rows are built.  Trial division at (37, 7) takes about 0.6 s a draw.
+    @given(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    @settings(max_examples=examples, deadline=None)
+    def check(tail):
+        fc = tail + [1]
+        got = _distinct_degree_sets(fc, p)
+        if is_squarefree_trial_division(fc, p):
+            assert got == brute_divisor_degrees(fc, p)
+        else:
+            assert got == (2 << n) - 1
+
+    check()
+
+
+def test_powering_is_logarithmic_in_p():
+    # x^p mod f by squaring: the largest prime below MODULUS_LIMIT answers at
+    # once, where p - 1 multiplications by x would never end.
+    p = 999999999989
+    tails = [
+        (1, 0, 2, 0),  # (x^2 + 1)^2, not squarefree
+        (1, 0, 0, 0),  # x^4 + 1, reducible mod every prime
+        (p - 2, 0, 0, 0),  # x^4 - 2
+        (3, 1, 4, 1),
+        (5, 9, 2, 6),
+        (2, 3, 1, 0),
+    ]
+    start = time.process_time()
+    degrees = factor_degree_sets(p, 4)
+    got = [degrees(tail) == 1 | 1 << 4 for tail in tails]
+    assert time.process_time() - start < 0.5
+    assert got == [is_irreducible_rabin(list(tail) + [1], p) for tail in tails]
+
+
+def test_the_kernel_answers_the_same_calls():
+    # The census asks for the same factorizations; only their cost changed.
+    calls = []
+
+    def counted(fc, p):
+        calls.append(p)
+        return ddf(fc, p)
+
+    ddf = finite_field._distinct_degree_sets
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finite_field, "_distinct_degree_sets", counted)
+        assert count_admissible_irreducible(5, 27) == 4844
+        assert len(calls) == 2343 and min(calls) == 11
+        calls.clear()
+        assert count_admissible_irreducible(4, 24) == 2041
+        assert len(calls) == 350 and min(calls) == 17
 
 
 def test_a_repeated_factor_past_the_table_limit_rules_nothing_out():

@@ -30,7 +30,9 @@ ORACLE_NAMES = (
 # monic polynomials and the table-or-direct selector, replaced by tables
 # per class f(1) mod p behind one lookup path; and that path's private
 # builder and its irreducibility predicate, folded into factor_degree_sets;
-# and the separate linear-factor loop, now degree 1 of the box search.
+# and the separate linear-factor loop, now degree 1 of the box search;
+# and the list arithmetic the distinct-degree factorization no longer
+# calls: _monic, folded into _gcd, and the rest now in tests/oracles.py.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -39,8 +41,13 @@ DELETED_NAMES = (
     "RABIN_TEST_LIMIT",
     "_divisor_degrees",
     "_first_factor",
+    "_mod",
+    "_monic",
+    "_mul",
+    "_powmod",
     "_prime_divisors",
     "_same_modulus",
+    "_sub",
     "_table_or_direct",
     "_tails",
     "count_nonneg_compositions",
