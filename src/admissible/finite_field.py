@@ -6,22 +6,25 @@ is decided by trial division, which is all that desk-scale moduli need.
 
 Irreducibility mod p is read off the degrees of a polynomial's monic
 divisors: f of degree n is irreducible iff they are only 0 and n.
-`factor_degree_sets` is the one lookup of those degrees; its callers
-compare the set with {0, n} themselves.  When p^n <= TABLE_LIMIT the
-degrees come from a memoized lookup table keyed by (p, n, c),
-c = f(1) mod p: the p^(n-1) monic polynomials of one class, built on
-the first lookup of that class.  Every admissible polynomial
-has f(1) = n!, so it only ever needs one class per (p, n).  A class is
-built by striking out every product g*h with g monic irreducible of
-degree <= n/2 and g(1) h(1) = c, each entry storing the divisor degrees
-read off the class table of the cofactor h.  Past the table limit, one
-polynomial's divisor degrees come from its distinct-degree
-factorization, the one direct algorithm here: x^p mod f by binary
-powering, then each later stage x^(p^d) mod f as one product with the
-Frobenius rows x^(ip) mod f, i < n, since h(x)^p = h(x^p) over F_p
-(Berlekamp's Q-matrix).  f is monic, so every product is reduced by it
-without an inverse.  The exact count of monic irreducibles of each
-degree comes from the Gauss/Moebius formula.
+`factor_degree_sets` is the one lookup of those degrees, cached per
+(p, n) so that every caller shares it; its callers compare the set with
+{0, n} themselves.  `_tabled` is the one rule for how they are found.
+When p^n <= TABLE_LIMIT the degrees come from a memoized lookup table
+keyed by (p, n, c), c = f(1) mod p: the p^(n-1) monic polynomials of
+one class, built on the first lookup of that class.  Every admissible
+polynomial has f(1) = n!, so it only ever needs one class per (p, n).
+A class is built by striking out every product g*h with g monic
+irreducible of degree <= n/2 and g(1) h(1) = c, each entry storing the
+divisor degrees read off the class table of the cofactor h.  Past the
+table limit, one polynomial's divisor degrees come from its
+distinct-degree factorization, the one direct algorithm here: x^p mod f
+by binary powering, then each later stage x^(p^d) mod f as one product
+with the Frobenius rows x^(ip) mod f, i < n, since h(x)^p = h(x^p) over
+F_p (Berlekamp's Q-matrix).  Each stage takes gcd(x^(p^d) - x, f) with
+f itself and counts the factors of degree d from the degrees of these
+gcds alone, so no factor is ever divided out.  f is monic, so every
+product is reduced by it without an inverse.  The exact count of monic
+irreducibles of each degree comes from the Gauss/Moebius formula.
 """
 
 from __future__ import annotations
@@ -96,24 +99,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("zero divisor")
-    if len(a) < len(b):
-        return [], list(a)
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    for i in range(len(q) - 1, -1, -1):
-        if len(r) >= i + len(b):
-            q[i] = qi = (r[i + len(b) - 1] * inv) % p
-            if qi:
-                for j, bj in enumerate(b):
-                    r[i + j] = (r[i + j] - qi * bj) % p
-            _trim(r)
-    return q, r
-
-
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     # Monic gcd by Euclid.  Each step reduces the dividend in place by the
     # divisor s: one inverse of s's leading coefficient, one % p per
@@ -161,22 +146,25 @@ def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
 
 
 def _distinct_degree_sets(fc: list[int], p: int) -> int:
-    # Divisor degrees of f from its distinct-degree factorization: once the
-    # factors of degree < d are divided out, gcd(x^(p^d) - x, f) is the
-    # product of the irreducible factors of degree d.  A repeated factor
-    # breaks that count, so a non-squarefree f gets every degree 0..n.
-    # Stage 1 finds x^p mod f by binary powering.  Over F_p, h(x)^p =
-    # h(x^p), so every later stage is one product with the Frobenius rows
-    # x^(ip) mod f, i < n (Berlekamp's Q-matrix), built once at stage 2.
-    # h stays reduced mod f: `rest` divides f, so gcd(h - x, rest) is the
-    # same and the rows outlive every split.
+    # Divisor degrees of f from its distinct-degree factorization.
+    # gcd(x^(p^d) - x, f) is the product of the distinct irreducible factors
+    # of f whose degree divides d (Knuth, TAOCP vol. 2, 4.6.2).  Its degree,
+    # less the degrees found at the stages e | d, e < d, is d times the
+    # number of factors of degree d, so no factor is divided out.  A
+    # repeated factor breaks that count, so a non-squarefree f gets every
+    # degree 0..n.  Stage 1 finds x^p mod f by binary powering.  Over F_p,
+    # h(x)^p = h(x^p), so every later stage is one product with the
+    # Frobenius rows x^(ip) mod f, i < n (Berlekamp's Q-matrix), built once
+    # at stage 2.
     n = len(fc) - 1
     derivative = _trim([i * c % p for i, c in enumerate(fc)][1:])
     if _gcd(fc, derivative, p) != [1]:
         return (2 << n) - 1
     degrees = 1
-    h, rest, d, rows = [0, 1], fc, 0, []
-    while 2 * (d + 1) <= len(rest) - 1:
+    h, d, rows = [0, 1], 0, []
+    found = [0] * (n + 1)  # found[e]: the total degree of f's factors of degree e
+    left = n  # the total degree of the factors of degree > d
+    while 2 * (d + 1) <= left:
         d += 1
         if d == 1:
             for bit in bin(p)[3:]:
@@ -199,13 +187,13 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
             h = _trim([c % p for c in acc])
         h_minus_x = h + [0] * (2 - len(h))
         h_minus_x[1] = (h_minus_x[1] - 1) % p
-        g = _gcd(_trim(h_minus_x), rest, p)
-        if len(g) > 1:
-            for _ in range((len(g) - 1) // d):
-                degrees |= degrees << d
-            rest = _divmod(rest, g, p)[0]
-    if len(rest) > 1:  # no factor of degree <= d left, so rest is irreducible
-        degrees |= degrees << len(rest) - 1
+        g = _gcd(_trim(h_minus_x), fc, p)
+        found[d] = len(g) - 1 - sum(found[e] for e in range(1, d) if d % e == 0)
+        for _ in range(found[d] // d):
+            degrees |= degrees << d
+        left -= found[d]
+    if left:  # no factor of degree <= d is left, so one irreducible remains
+        degrees |= degrees << left
     return degrees
 
 
@@ -279,9 +267,9 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
         raise ValueError(f"not prime: {p}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    size = p**degree
-    if size > TABLE_LIMIT:
-        raise FeasibilityError(f"table too large: {p}^{degree} = {size} exceeds {TABLE_LIMIT}")
+    if not _tabled(p, degree):
+        raise FeasibilityError(
+            f"table too large: {p}^{degree} = {p**degree} exceeds {TABLE_LIMIT}")
     if degree == 1:  # every x + a_0 is irreducible, with no class table to build
         return (True,) * p
     degrees = factor_degree_sets(p, degree)
@@ -290,6 +278,14 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
                  for digits in itertools.product(range(p), repeat=degree))
 
 
+def _tabled(p: int, degree: int) -> bool:
+    # Whether (p, degree) gets lookup tables: p^degree <= TABLE_LIMIT.  The
+    # exponent is cut at TABLE_LIMIT's bit length, past which every p >= 2
+    # is over the limit, so a huge power is never built just to be compared.
+    return p ** min(degree, TABLE_LIMIT.bit_length()) <= TABLE_LIMIT
+
+
+@lru_cache(maxsize=None)
 def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
     """Map a monic polynomial to the degrees of its monic divisors mod p.
 
@@ -300,15 +296,17 @@ def factor_degree_sets(p: int, degree: int) -> Callable[[Sequence[int]], int]:
     class f(1) mod p, built on first use with p^(degree-1) entries, and is
     exact.  Otherwise it comes from a distinct-degree factorization,
     exact when f mod p is squarefree; when it is not, every degree is
-    returned, which rules nothing out.  Raises ValueError ("not prime")
-    on a composite p, before the factorization can divide by a non-unit
-    and never end, and on a degree below 1.
+    returned, which rules nothing out.  The map is cached per (p, degree),
+    so its class slots and the primality check are shared by every call.
+    Raises ValueError ("not prime") on a composite p, before the
+    factorization can divide by a non-unit and never end, and on a degree
+    below 1.
     """
     if not is_prime(p):
         raise ValueError(f"not prime: {p}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if p**degree > TABLE_LIMIT:
+    if not _tabled(p, degree):
         return lambda coeffs: _distinct_degree_sets([c % p for c in coeffs] + [1], p)
 
     tables: list[tuple[int, ...] | None] = [None] * p  # slot c: the table of class c

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combinatorics import count_two_cap_compositions
 from .errors import FeasibilityError
-from .finite_field import TABLE_LIMIT, factor_degree_sets
+from .finite_field import _tabled, factor_degree_sets
 from .integer_irreducibility import is_irreducible_over_z
 from .polynomials import (
     MonicIntPolynomial,
@@ -43,8 +43,8 @@ SIEVE_LIMIT = 10**7
 # each already takes seconds, and 9,592 primes would mean a 46M-entry table.
 INSTANCE_PRIME_LIMIT = 500
 
-# Most direct tests an instance may need at the primes below z with
-# p^degree > TABLE_LIMIT, which get no lookup table: the ambient size per
+# Most direct tests an instance may need at the primes below z that get
+# no lookup table (finite_field._tabled): the ambient size per
 # such prime when every polynomial is tested, or the residue vectors of
 # each pass per such prime it tests when counting by residue class.
 # One degree-4 test took 0.1 ms (p near 17) to 0.4 ms (p near 3,571) on
@@ -359,7 +359,7 @@ def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> 
     enumerated = size * max(len(primes), 1)
     moduli = _residue_moduli(degree, primes)
     passes = [(m, _capped_power(m, degree - 1, enumerated)) for m in moduli]
-    untabled = [p for p in primes if _capped_power(p, degree, TABLE_LIMIT) > TABLE_LIMIT]
+    untabled = [p for p in primes if not _tabled(p, degree)]
     by_residue = sum(vectors for _, vectors in passes) < enumerated
     tests = (sum(vectors * sum(m % p == 0 for p in untabled) for m, vectors in passes)
              if by_residue else size * len(untabled))

@@ -5,15 +5,17 @@ tuple enumeration, Pascal's triangle, an odd-only prime sieve, and an
 unpruned factor-pair search with its own division routine (which also
 yields the first divisor in the package's box order).  None of that
 shares code with the package paths it checks.  The list arithmetic
-over F_p that the package no longer calls lives here too: `_sub`,
-`_mul`, `_mod` (the remainder of the package's `_divmod`) and `_powmod`
-(square and multiply over `_mul` and `_mod`).  Six oracles do call
-package internals:
+over F_p that the package does not call lives here too: `_sub`, `_mul`,
+`_divmod` (long division by any nonzero divisor), `_mod` (its remainder)
+and `_powmod` (square and multiply over `_mul` and `_mod`).  Of the
+package's arithmetic over F_p, the oracles share only `_gcd` and
+`_trim`.  Six oracles do call package internals:
 
 * `is_irreducible_trial_division`, `brute_divisor_degrees` and
-  `is_squarefree_trial_division` divide with `_mod`, so they share the
-  package's `_divmod` (the last also squares with `_mul`), but are
-  independent of the tables and the distinct-degree factorization;
+  `is_squarefree_trial_division` divide with `_mod` from this file, so
+  they share no division code with the package and are independent of
+  the tables and the distinct-degree factorization (the last also
+  squares with `_mul`);
 * `is_irreducible_rabin` is Rabin's criterion, a second direct algorithm
   beside the package's distinct-degree factorization, built on `_powmod`
   and `_sub` from this file and the package's `_gcd`: it shares the
@@ -29,7 +31,7 @@ import math
 
 from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
-from admissible.finite_field import _divmod, _gcd, _trim, is_prime
+from admissible.finite_field import _gcd, _trim, is_prime
 from admissible.polynomials import MonicIntPolynomial
 
 DEFAULT_ORACLE_LIMIT = 10**8
@@ -52,6 +54,24 @@ def _mul(a: list[int], b: list[int], p: int) -> list[int]:
             for j, bj in enumerate(b):
                 c[i + j] += ai * bj
     return _trim([x % p for x in c])
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    if not b:
+        raise ZeroDivisionError("zero divisor")
+    if len(a) < len(b):
+        return [], list(a)
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    for i in range(len(q) - 1, -1, -1):
+        if len(r) >= i + len(b):
+            q[i] = qi = (r[i + len(b) - 1] * inv) % p
+            if qi:
+                for j, bj in enumerate(b):
+                    r[i + j] = (r[i + j] - qi * bj) % p
+            _trim(r)
+    return q, r
 
 
 def _mod(a: list[int], b: list[int], p: int) -> list[int]:

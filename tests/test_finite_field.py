@@ -13,7 +13,6 @@ from admissible.finite_field import (
     MODULUS_LIMIT,
     TABLE_LIMIT,
     _distinct_degree_sets,
-    _divmod,
     _gcd,
     _is_irreducible_raw,
     _mulmod,
@@ -24,10 +23,11 @@ from admissible.finite_field import (
     is_prime,
     mobius,
 )
-from admissible.integer_irreducibility import count_admissible_irreducible
+from admissible.integer_irreducibility import FACTOR_DEGREE_PRIMES, count_admissible_irreducible
 from admissible.sieve import primes_below
 
 from oracles import (
+    _divmod,
     _mod,
     _mul,
     _powmod,
@@ -127,6 +127,8 @@ def test_divmod_reconstructs():
 
 def test_zero_divisor():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
+        _divmod([1, 1], [], 3)
+    with pytest.raises(ZeroDivisionError, match="zero divisor"):
         _mod([1, 1], [], 3)
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         _powmod([0, 1], 5, [], 3)
@@ -199,6 +201,7 @@ def test_irreducible_table_runs_no_rabin_test(monkeypatch):
         raise AssertionError("a table build ran a direct test")
 
     irreducible_table.cache_clear()
+    factor_degree_sets.cache_clear()  # else cached class slots answer and nothing is built
     finite_field._divisor_degree_table.cache_clear()
     monkeypatch.setattr(finite_field, "_is_irreducible_raw", no_direct_test)
     monkeypatch.setattr(finite_field, "_distinct_degree_sets", no_direct_test)
@@ -238,6 +241,7 @@ def test_an_admissible_census_builds_one_class_per_tabled_prime():
     table = finite_field._divisor_degree_table
     table.cache_clear()
     irreducible_table.cache_clear()
+    factor_degree_sets.cache_clear()
     count_admissible_irreducible(5, 27)
     cached = []
     for p in (2, 3, 5, 7):
@@ -248,6 +252,14 @@ def test_an_admissible_census_builds_one_class_per_tabled_prime():
                 cached.append((p, 5, c))
     assert cached == [(2, 5, 0), (3, 5, 0), (5, 5, 0), (7, 5, 1)]
     assert 11**5 > TABLE_LIMIT >= 7**5
+
+
+def test_an_admissible_census_resolves_one_lookup_per_prime():
+    # The census shares one lookup per (p, degree): the primality check and
+    # the class slots are not rebuilt for every polynomial.
+    factor_degree_sets.cache_clear()
+    assert count_admissible_irreducible(5, 27) == 4844
+    assert factor_degree_sets.cache_info().misses <= len(FACTOR_DEGREE_PRIMES)
 
 
 @given(

@@ -32,7 +32,9 @@ ORACLE_NAMES = (
 # builder and its irreducibility predicate, folded into factor_degree_sets;
 # and the separate linear-factor loop, now degree 1 of the box search;
 # and the list arithmetic the distinct-degree factorization no longer
-# calls: _monic, folded into _gcd, and the rest now in tests/oracles.py.
+# calls: _monic, folded into _gcd, and the rest now in tests/oracles.py,
+# with _divmod last, once that factorization counted its factors from gcd
+# degrees instead of dividing them out.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -40,6 +42,7 @@ DELETED_NAMES = (
     "PrimeFieldPolynomial",
     "RABIN_TEST_LIMIT",
     "_divisor_degrees",
+    "_divmod",
     "_first_factor",
     "_mod",
     "_monic",
