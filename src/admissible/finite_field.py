@@ -262,27 +262,29 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     0 and degree, read through `factor_degree_sets`.  No library code
     calls it: it is a view kept for `bench/tracer.py` until that tracer
     reads run statistics from the library (ROADMAP direction 1).
+    Raises what `factor_degree_sets` raises, then FeasibilityError
+    ("table too large") past TABLE_LIMIT.
     """
-    if not is_prime(p):
-        raise ValueError(f"not prime: {p}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    degrees = factor_degree_sets(p, degree)
     if not _tabled(p, degree):
-        raise FeasibilityError(
-            f"table too large: {p}^{degree} = {p**degree} exceeds {TABLE_LIMIT}")
+        raise FeasibilityError(f"table too large: {p}^{degree} exceeds {TABLE_LIMIT}")
     if degree == 1:  # every x + a_0 is irreducible, with no class table to build
         return (True,) * p
-    degrees = factor_degree_sets(p, degree)
     irreducible = 1 | 1 << degree
     return tuple(degrees(digits[::-1]) == irreducible
                  for digits in itertools.product(range(p), repeat=degree))
 
 
+def _capped_power(p: int, exponent: int, bound: int) -> int:
+    # p^exponent for p >= 1, or some power of p past `bound` when p^exponent
+    # is: the exponent is cut at bound's bit length, so huge powers are
+    # never built just to be compared.
+    return p ** min(exponent, bound.bit_length())
+
+
 def _tabled(p: int, degree: int) -> bool:
-    # Whether (p, degree) gets lookup tables: p^degree <= TABLE_LIMIT.  The
-    # exponent is cut at TABLE_LIMIT's bit length, past which every p >= 2
-    # is over the limit, so a huge power is never built just to be compared.
-    return p ** min(degree, TABLE_LIMIT.bit_length()) <= TABLE_LIMIT
+    # Whether (p, degree) gets lookup tables: p^degree <= TABLE_LIMIT.
+    return _capped_power(p, degree, TABLE_LIMIT) <= TABLE_LIMIT
 
 
 @lru_cache(maxsize=None)

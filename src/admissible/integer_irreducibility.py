@@ -17,12 +17,12 @@ needed.  The decision runs in three stages:
    Mignotte factor bound B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the
    search space is finite.  Within it only candidates with g(1) | f(1)
    and g(-1) | f(-1) are divided out, and for m >= 2 the top
-   coefficient is solved from the first condition.  If no degree
-   survives, f is irreducible without a single division.
+   coefficient is solved from the first condition.  The box is built
+   for the surviving degrees only: if none survives, f is irreducible
+   with no norm, no divisor of a_0 and no division.
 
-The candidates f may need, the linear ones and those of the degrees
->= 2 that stage 2 leaves, are counted against SEARCH_LIMIT before any
-is tried.
+The candidates of the degrees stage 2 leaves open, and only those, are
+counted against SEARCH_LIMIT before any is tried.
 
 Every stage only drops candidates that cannot divide f, and the box is
 searched degree by degree, so the witness is the first divisor of the
@@ -48,8 +48,8 @@ from .polynomials import MonicIntPolynomial, enumerate_admissible
 FACTOR_DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 # Most candidate factors one polynomial may need from its Mignotte box:
-# the linear ones, plus those of the degrees >= 2 its factor-degree sets
-# leave; they are counted before any is tried.
+# those of the degrees its factor-degree sets leave open, counted before
+# any is tried.
 SEARCH_LIMIT = 10**9
 
 
@@ -122,9 +122,9 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
 
     Raises FeasibilityError ("search space exceeded") when the part of
     the Mignotte box that f needs holds more than SEARCH_LIMIT candidate
-    factors: the linear candidates plus those of the degrees >= 2 its
-    factor-degree sets leave open, counted before any is tried.  It
-    never returns a wrong answer.
+    factors: those of the degrees its factor-degree sets leave open,
+    counted before any is tried.  No box is built when none is open.
+    It never returns a wrong answer.
     """
     n = f.degree
     if n == 1:
@@ -133,10 +133,7 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
         g = MonicIntPolynomial(1, (0,))
         h = MonicIntPolynomial(n - 1, f.coeffs[1:])
         return FactorizationWitness("reducible", (g, h))
-    box = _mignotte_box(f)
-    degrees = _open_degrees(f)
-    _check_search_space(box[:1] + [part for part in box[1:] if degrees >> part[0] & 1])
-    return _bounded_factor_search(f, [part for part in box if degrees >> part[0] & 1])
+    return _bounded_factor_search(f, _open_degrees(f))
 
 
 def _open_degrees(f: MonicIntPolynomial) -> int:
@@ -148,29 +145,6 @@ def _open_degrees(f: MonicIntPolynomial) -> int:
             break
         degrees &= _irreducible_mod(f, p)
     return degrees
-
-
-def _mignotte_box(f: MonicIntPolynomial) -> list[tuple[int, list[int], list[int]]]:
-    # (m, coefficient bounds, constant terms) of the candidate factors of
-    # each degree m <= n/2.  Mignotte: |g_i| <= C(m-1, i)*||f||_2 +
-    # C(m-1, i-1) for any factor of degree m (f monic), so every degree
-    # shares the constant terms: the divisors of a_0 up to ||f||_2.
-    full = f.all_coefficients()
-    norm = _ceil_sqrt(sum(c * c for c in full))
-    divisors = _signed_divisors(full[0], norm)
-    return [(m, [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)], divisors)
-            for m in range(1, f.degree // 2 + 1)]
-
-
-def _check_search_space(box: list[tuple[int, list[int], list[int]]]) -> None:
-    # Count the candidates of `box` degree by degree against SEARCH_LIMIT.
-    candidates = 0
-    for _, bounds, divisors in box:
-        candidates += len(divisors) * math.prod(2 * b + 1 for b in bounds[1:])
-        if candidates > SEARCH_LIMIT:
-            raise FeasibilityError(
-                f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
-            )
 
 
 def _divides(d: int, value: int) -> bool:
@@ -208,14 +182,30 @@ def _candidates(bounds: list[int], divisors: list[int], at_one: int,
                 yield [*head, b, 1]
 
 
-def _bounded_factor_search(
-    f: MonicIntPolynomial, box: list[tuple[int, list[int], list[int]]]
-) -> FactorizationWitness:
-    # The first divisor of f among the candidates of `box`, degree by degree.
+def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> FactorizationWitness:
+    # The first divisor of f among the candidates of the degrees m whose bit
+    # is set in `degrees`, degree by degree; with none set, no box is built.
+    # Mignotte: |g_i| <= C(m-1, i)*||f||_2 + C(m-1, i-1) for any factor of
+    # degree m (f monic), so every degree shares the constant terms: the
+    # divisors of a_0 up to ||f||_2.  The candidates are counted against
+    # SEARCH_LIMIT before any is tried.
+    if not degrees:
+        return FactorizationWitness("irreducible")
     full = list(f.all_coefficients())
+    norm = _ceil_sqrt(sum(c * c for c in full))
+    divisors = _signed_divisors(full[0], norm)
+    box = [(m, [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)])
+           for m in range(1, degrees.bit_length()) if degrees >> m & 1]
+    candidates = 0
+    for _, bounds in box:
+        candidates += len(divisors) * math.prod(2 * b + 1 for b in bounds[1:])
+        if candidates > SEARCH_LIMIT:
+            raise FeasibilityError(
+                f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
+            )
     at_one = sum(full)
     at_minus_one = sum(full[::2]) - sum(full[1::2])
-    for m, bounds, divisors in box:
+    for m, bounds in box:
         for g in _candidates(bounds, divisors, at_one, at_minus_one):
             q, r = _divmod_by_monic(full, g)
             if not any(r):

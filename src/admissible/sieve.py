@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combinatorics import count_two_cap_compositions
 from .errors import FeasibilityError
-from .finite_field import _tabled, factor_degree_sets
+from .finite_field import _capped_power, _tabled, factor_degree_sets
 from .integer_irreducibility import is_irreducible_over_z
 from .polynomials import (
     MonicIntPolynomial,
@@ -256,13 +256,6 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     not at a prime dividing f(1), where x - 1 makes it reducible.
     """
     return _membership_histogram(ambient, primes_below(z), first_hit=True).get(0, 0)
-
-
-def _capped_power(p: int, exponent: int, bound: int) -> int:
-    # p^exponent for p >= 1, or some power of p past `bound` when p^exponent
-    # is: the exponent is cut at bound's bit length, so huge powers are
-    # never built just to be compared.
-    return p ** min(exponent, bound.bit_length())
 
 
 def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:

@@ -428,9 +428,11 @@ def test_factor_degree_sets_agree_with_sympy():
 
 
 def test_irreducible_table_preconditions():
-    message = f"table too large: 11\\^5 = 161051 exceeds {TABLE_LIMIT}"
-    with pytest.raises(FeasibilityError, match=message):
+    with pytest.raises(FeasibilityError, match=f"table too large: 11\\^5 exceeds {TABLE_LIMIT}"):
         irreducible_table(11, 5)
+    # 2^20000 has 6,021 digits, past int-to-str's default limit of 4,300.
+    with pytest.raises(FeasibilityError, match=f"table too large: 2\\^20000 exceeds {TABLE_LIMIT}"):
+        irreducible_table(2, 20000)
     with pytest.raises(ValueError, match="not prime: 4"):
         irreducible_table(4, 2)
     with pytest.raises(ValueError, match="degree must be >= 1, got 0"):

@@ -115,9 +115,10 @@ def test_search_limit_is_inclusive(monkeypatch):
         is_irreducible_over_z(f)
 
 
-def test_search_limit_counts_only_the_degrees_left_open():
-    # x^7 + 10000x^6 + x + 1 is irreducible mod 2, so only its two linear
-    # candidates count; its whole box holds 1,600,880,110.
+def test_search_limit_counts_only_the_degrees_left_open(monkeypatch):
+    # x^7 + 10000x^6 + x + 1 is irreducible mod 2, so no degree is open
+    # and no candidate counts, not even its two linear ones; its whole
+    # box holds 1,600,880,110.
     f = MonicIntPolynomial(7, (1, 1, 0, 0, 0, 0, 10000))
     assert is_irreducible_over_z(f).irreducible
     # x^8 + 5040(x^7 + ... + x) + 5039 keeps degrees 2, 3 and 4 at every
@@ -125,6 +126,9 @@ def test_search_limit_counts_only_the_degrees_left_open():
     g = MonicIntPolynomial(8, (5039,) + (5040,) * 7)
     with pytest.raises(FeasibilityError, match="search space exceeded: 6504157436 candidates"):
         is_irreducible_over_z(g)
+    # With no open degree, f counts no candidate, so even a limit of 0 passes it.
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 0)
+    assert is_irreducible_over_z(f).irreducible
 
 
 def test_signed_divisors_match_trial_division_in_order():
@@ -141,10 +145,12 @@ def test_the_divisor_listing_runs_to_sqrt_a0_only():
     # The seventh admissible polynomial of degree 13 and height 12! has
     # a_6 = 12! - 1 and every other a_i = 12!.  Its Mignotte box lists the
     # divisors of a_0 = 12! up to ||f||_2 > |a_0|: trial division up to
-    # |a_0| took 33 s before the box was found too large.
+    # |a_0| took 33 s before the box was found too large.  Its degree
+    # sets leave only degree 3, so only cubic candidates count.
     f = MonicIntPolynomial(13, (479_001_600,) * 6 + (479_001_599,) + (479_001_600,) * 6)
     start = time.process_time()
-    with pytest.raises(FeasibilityError, match="search space exceeded"):
+    message = "search space exceeded: 37797445162361993003280 candidates "
+    with pytest.raises(FeasibilityError, match=message):
         is_irreducible_over_z(f)
     assert time.process_time() - start < 2
 
@@ -201,8 +207,7 @@ def test_quadratic_factors_when_f_vanishes_at_one_and_minus_one():
     # x^4 - 1 searched at degree 2 only: g(1) ranges over the whole box,
     # and the first quadratic divisor in box order is x^2 - 1.
     f = MonicIntPolynomial(4, (-1, 0, 0, 0))
-    box = [part for part in integer_irreducibility._mignotte_box(f) if part[0] == 2]
-    w = integer_irreducibility._bounded_factor_search(f, box)
+    w = integer_irreducibility._bounded_factor_search(f, 1 << 2)
     assert [p.text() for p in w.factors] == ["x^2 - 1", "x^2 + 1"]
 
 
@@ -212,24 +217,27 @@ def test_degree_sets_leave_13_searches_at_a_5_27(monkeypatch):
     # intersected degree sets leave only 13 with a possible quadratic
     # factor, and 1,494 with no factor degree at all, not even 1.
     search = integer_irreducibility._bounded_factor_search
-    boxes = []
+    masks = []
 
-    def counted(f, box):
-        boxes.append([part[0] for part in box])
-        return search(f, box)
+    def counted(f, degrees):
+        masks.append(degrees)
+        return search(f, degrees)
 
     monkeypatch.setattr(integer_irreducibility, "_bounded_factor_search", counted)
     assert count_admissible_irreducible(5, 27) == 4844
-    assert len(boxes) == 4845
-    assert sum(max(box, default=0) >= 2 for box in boxes) == 13
-    assert sum(not box for box in boxes) == 1494
+    assert len(masks) == 4845
+    assert sum(degrees >= 4 for degrees in masks) == 13
+    assert sum(not degrees for degrees in masks) == 1494
 
 
 def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
     # At (5, 27) the degree sets rule out x + b for most quintics, so the
     # box search makes 5,493 long divisions; trying every linear
-    # candidate made 23,862.  The mod-p lookups stay at 16,638.
-    calls = {"_divmod_by_monic": 0, "_irreducible_mod": 0}
+    # candidate made 23,862.  The mod-p lookups stay at 16,638.  The
+    # 1,494 quintics with no open degree list no divisors of a_0: the
+    # other boxes and the g(1) values of the 13 quadratic searches make
+    # 3,364 listings, where building every box made 4,858.
+    calls = {"_divmod_by_monic": 0, "_irreducible_mod": 0, "_signed_divisors": 0}
     for name in calls:
         original = getattr(integer_irreducibility, name)
 
@@ -239,7 +247,7 @@ def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
 
         monkeypatch.setattr(integer_irreducibility, name, counted)
     assert count_admissible_irreducible(5, 27) == 4844
-    assert calls == {"_divmod_by_monic": 5493, "_irreducible_mod": 16638}
+    assert calls == {"_divmod_by_monic": 5493, "_irreducible_mod": 16638, "_signed_divisors": 3364}
 
 
 def test_verdicts_agree_with_sympy():

@@ -34,16 +34,20 @@ ORACLE_NAMES = (
 # and the list arithmetic the distinct-degree factorization no longer
 # calls: _monic, folded into _gcd, and the rest now in tests/oracles.py,
 # with _divmod last, once that factorization counted its factors from gcd
-# degrees instead of dividing them out.
+# degrees instead of dividing them out; and the box builder and its
+# separate candidate count, folded into _bounded_factor_search, which
+# builds and counts the box of the open factor degrees only.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
     "PROBE_PRIMES",
     "PrimeFieldPolynomial",
     "RABIN_TEST_LIMIT",
+    "_check_search_space",
     "_divisor_degrees",
     "_divmod",
     "_first_factor",
+    "_mignotte_box",
     "_mod",
     "_monic",
     "_mul",
