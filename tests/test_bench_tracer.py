@@ -2,8 +2,9 @@
 
 `bench/tracer.py` rebinds package names by value at run time, with the
 signatures it expects; a renamed or re-signed entry point breaks traced
-benchmark runs only.  This runs a few library calls under the tracer in
-a subprocess and compares them with the same calls untraced.
+benchmark runs only.  This runs a few library calls and `enumerate`
+commands under the tracer in a subprocess and compares them with the
+same calls untraced.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from admissible import (
     build_admissible_instance,
+    cli,
     count_admissible_irreducible,
     enumerate_admissible,
     exact_sifted_count,
@@ -51,3 +53,34 @@ def test_traced_calls_match_untraced_ones():
     assert traced["enumerated_pipeline"] == repr(pipeline_lower_bound(4, 10, 8))
     assert {"sieve.instance", "sieve.sift", "sieve.pipeline",
             "integer_irreducibility.decide"} <= set(traced["summary"]["spans"])
+
+
+TRACED_ENUMERATE = f"""
+import contextlib, io, json, sys
+sys.path[:0] = [{str(REPO_ROOT / "bench")!r}, {str(REPO_ROOT / "src")!r}]
+from admissible import cli
+from tracer import Tracer
+tracer = Tracer().install()
+
+def run(*flags):
+    out, before = io.StringIO(), tracer.counts["polynomials.enumerated"]
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["enumerate", "--degree", "4", "--height", "10", *flags])
+    return [code, out.getvalue(), tracer.counts["polynomials.enumerated"] - before]
+
+print(json.dumps([run(), run("--limit", "5")]))
+"""
+
+
+def test_traced_enumerate_prints_the_untraced_bytes_and_draws_each_row(capsys):
+    # `enumerate` must draw its rows from enumerate_admissible, one per row
+    # and none past the limit: the tracer counts the stream-quintic
+    # workload's polynomials.enumerated there.
+    proc = subprocess.run([sys.executable, "-c", TRACED_ENUMERATE], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (code, out, drawn), (limited_code, limited_out, limited_drawn) = json.loads(proc.stdout)
+    assert cli.main(["enumerate", "--degree", "4", "--height", "10"]) == 0
+    assert (code, out, drawn) == (0, capsys.readouterr().out, 804)
+    assert cli.main(["enumerate", "--degree", "4", "--height", "10", "--limit", "5"]) == 0
+    assert (limited_code, limited_out, limited_drawn) == (0, capsys.readouterr().out, 5)

@@ -104,23 +104,36 @@ def _reference_rows(n, h, fmt, limit):
     return out.getvalue() + (marker if len(shown) < len(polys) else "")
 
 
+def _cli_rows(capsys, n, h, fmt, limit):
+    argv = ["enumerate", "--degree", str(n), "--height", str(h), "--format", fmt]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+# (degree, height): degrees 1 to 5, an empty census, censuses of more than
+# one block of rows, and a height past n! - 1.
+_ENUMERATIONS = [(1, 0), (2, 1), (3, 1), (3, 2), (3, 5), (4, 24), (5, 24), (5, 26),
+                 (3, 10**12)]
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_enumerate_rows_match_json_and_csv_writers(capsys, fmt):
-    n, h = 4, 24
-    total = count_admissible_exact(n, h)
-    assert total == 2_600  # more than two blocks of rows
-    for limit in (None, 0, cli._BLOCK_ROWS, total, total + 1, total - 1):
-        argv = ["enumerate", "--degree", str(n), "--height", str(h), "--format", fmt]
-        if limit is not None:
-            argv += ["--limit", str(limit)]
-        assert cli.main(argv) == 0
-        got = capsys.readouterr().out.splitlines(keepends=True)
-        want = _reference_rows(n, h, fmt, limit).splitlines(keepends=True)
-        # The first differing line, not a diff of 2,600 rows (which is slow).
-        first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
-                     min(len(got), len(want)))
-        assert got[first:first + 1] == want[first:first + 1], (limit, first)
-        assert len(got) == len(want), limit
+    assert count_admissible_exact(4, 24) == 2_600  # more than two blocks of rows
+    for n, h in _ENUMERATIONS:
+        total = count_admissible_exact(n, h)
+        limits = [None, 0, 1, total - 1, total, total + 1, cli._BLOCK_ROWS, 10**20]
+        for limit in [x for x in limits if x is None or x >= 0]:
+            got = _cli_rows(capsys, n, h, fmt, limit).splitlines(keepends=True)
+            want = _reference_rows(n, h, fmt, limit).splitlines(keepends=True)
+            # The first differing line, not a diff of 2,600 rows (which is slow).
+            first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                         min(len(got), len(want)))
+            assert got[first:first + 1] == want[first:first + 1], (n, h, limit, first)
+            assert len(got) == len(want), (n, h, limit)
+    # A height past n! - 1 caps no coefficient further.
+    assert _cli_rows(capsys, 3, 10**12, fmt, None) == _cli_rows(capsys, 3, 5, fmt, None)
 
 
 def test_irr_count_payload(run_cli):

@@ -42,6 +42,8 @@ CASES = [
     # N = 21: a limit of N or more writes no truncation marker
     *_both("enumerate --degree 3 --height 6 --limit 21"),
     *_both("enumerate --degree 3 --height 6 --limit 22"),
+    # a limit past sys.maxsize is clamped to N = 3: every row, no marker
+    *_both("enumerate --degree 3 --height 2 --limit 100000000000000000000"),
     "enumerate --degree 3 --height 1",
     "enumerate --degree 1 --height 0 --format jsonl",
     *_both("irr-count --degree 3 --height 2"),
