@@ -14,6 +14,7 @@ error, 3 feasibility-limit hit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -29,7 +30,6 @@ from .finite_field import IrreducibleAuditRow, audit_irreducible_counts
 from .integer_irreducibility import admissible_witnesses
 from .polynomials import (
     BoundsAuditReport,
-    MonicIntPolynomial,
     audit_bounds,
     bounds_report,
     check_degree,
@@ -73,8 +73,6 @@ def _json_value(value):
     # json.dumps hook for everything that is not already a JSON type.
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, MonicIntPolynomial):
-        return value.text()
     return _fields(value)
 
 
@@ -85,37 +83,47 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, MonicIntPolynomial):
-        return value.text()
-    if isinstance(value, tuple):  # a factor pair renders as its product
-        return "".join(f"({_csv_cell(v)})" for v in value)
     return str(value)
+
+
+@contextlib.contextmanager
+def _rendering():
+    # Rendering's one failure: an integer past the digit limit.
+    try:
+        yield
+    except ValueError:
+        raise FeasibilityError(_TOO_LARGE)
+
+
+def _envelope(args, results, exact) -> str:
+    """The JSON report: `results` inside the envelope of the flags given, as parsed."""
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "format", "run") and v is not None}
+    envelope = dict(command=args.command, exact=exact, parameters=parameters,
+                    results=results, toolkit_version=__version__)
+    with _rendering():
+        return json.dumps(envelope, indent=2, sort_keys=True, default=_json_value) + "\n"
 
 
 def _emit(args, results, exact, rows, columns):
     """Write `results` as a JSON envelope, or `rows` (dataclasses or dicts) as CSV.
 
-    The envelope's `parameters` are the flags given, as parsed.  The whole
-    report is rendered before anything is written, so a failure leaves
-    stdout empty.
+    The whole report is rendered before anything is written, so a failure
+    leaves stdout empty.  `irr-count` alone does not come through here: it
+    decides every verdict before writing, then streams its rows from one
+    byte per polynomial plus the reducible witnesses.
     """
-    try:
-        if args.format == "csv":
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
+    if args.format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        with _rendering():
             for row in rows:
                 record = row if isinstance(row, dict) else _fields(row)
                 writer.writerow([_csv_cell(record[c]) for c in columns])
-            text = out.getvalue()
-        else:
-            parameters = {k: v for k, v in vars(args).items()
-                          if k not in ("command", "format", "run") and v is not None}
-            envelope = dict(command=args.command, exact=exact, parameters=parameters,
-                            results=results, toolkit_version=__version__)
-            text = json.dumps(envelope, indent=2, sort_keys=True, default=_json_value) + "\n"
-    except ValueError:
-        raise FeasibilityError(_TOO_LARGE)
+        text = out.getvalue()
+    else:
+        text = _envelope(args, results, exact)
     sys.stdout.write(text)
 
 
@@ -154,14 +162,57 @@ def cmd_enumerate(args):
 
 
 def cmd_irr_count(args):
-    pairs = list(admissible_witnesses(args.degree, args.height))
-    witnesses = [{"polynomial": f, **_fields(w)} for f, w in pairs]
-    results = {
-        "ambient_count": len(pairs),
-        "irreducible_count": sum(w.irreducible for _, w in pairs),
-        "witnesses": witnesses,
-    }
-    _emit(args, results, True, witnesses, ["polynomial", "status", "factors"])
+    # Two passes over the census.  The verdict pass decides every
+    # polynomial before anything is written, so ENUM_LIMIT, SEARCH_LIMIT
+    # and "report too large" all leave stdout empty.  It keeps one byte per
+    # polynomial (1 if irreducible) and the rendered factor pair of each
+    # reducible one.  The render pass writes the envelope, re-walks the
+    # enumeration and fills one %-template per (format, status) per row.
+    n, height = args.degree, args.height
+    irreducible, factors = bytearray(), []
+    for _, w in admissible_witnesses(n, height):
+        irreducible.append(w.irreducible)
+        if w.factors:
+            with _rendering():
+                factors.append(tuple(g.text() for g in w.factors))
+    with _rendering():
+        str(min(height, target_sum(n)))  # the largest coefficient of any f
+    # poly_text prints no comma, quote, backslash or newline, so no text
+    # needs CSV quoting or JSON escaping.
+    if args.format == "csv":
+        head, sep, tail = "polynomial,status,factors\n", "", ""
+        templates = ("%(f)s,reducible,(%(g)s)(%(h)s)\n", "%(f)s,irreducible,\n")
+    else:
+        results = dict(ambient_count=len(irreducible), irreducible_count=sum(irreducible),
+                       witnesses=[])
+        head, sep, tail = _envelope(args, results, True), ",\n", ""
+        if irreducible:  # the rows go into "witnesses": [], the envelope's last list
+            before, after = head.rsplit("[]", 1)
+            head, tail = before + "[\n", "\n    ]" + after
+
+        def template(witness):
+            # One witness as json.dumps prints it inside the envelope's list.
+            text = json.dumps(dict(witness, polynomial="%(f)s"), indent=2, sort_keys=True)
+            return "      " + text.replace("\n", "\n      ")
+
+        templates = (template({"factors": ["%(g)s", "%(h)s"], "status": "reducible"}),
+                     template({"factors": None, "status": "irreducible"}))
+    pending = iter(factors)
+
+    def row(f, status):
+        cells = {"f": f.text()}
+        if not status:
+            cells["g"], cells["h"] = next(pending)
+        return templates[status] % cells
+
+    lines = map(row, enumerate_admissible(n, height), irreducible)
+    blocks = iter(lambda: sep.join(itertools.islice(lines, _BLOCK_ROWS)), "")
+    sys.stdout.write(head)
+    sys.stdout.write(next(blocks, ""))
+    for block in blocks:
+        sys.stdout.write(sep)
+        sys.stdout.write(block)
+    sys.stdout.write(tail)
 
 
 def cmd_sieve(args):

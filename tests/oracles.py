@@ -24,14 +24,24 @@ package's arithmetic over F_p, the oracles share only `_gcd` and
   polynomial, so it checks the Gauss/Moebius count;
 * `brute_sieve_counts` decides membership mod p with
   `is_irreducible_trial_division`, so it shares that oracle's `_mod`.
+
+`irr_count_report` is the rendering oracle of `irr-count`: it takes the
+package's verdicts and polynomial texts but prints them with the
+standard library's writers, `json.dumps` and `csv.writer`, over the
+whole report held in memory.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
 
+from admissible import __version__
 from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
 from admissible.finite_field import _gcd, _trim, is_prime
+from admissible.integer_irreducibility import admissible_witnesses
 from admissible.polynomials import MonicIntPolynomial
 
 DEFAULT_ORACLE_LIMIT = 10**8
@@ -408,3 +418,32 @@ def count_irreducibles_in_class(degree: int, p: int, c: int) -> int:
             rho = sum(1 for a in range(1, p) if pow(a, d, p) == c % p)
             total += brute_mobius(d) * rho * (p ** (degree // d) - 1) // (p - 1)
     return total // degree
+
+
+def irr_count_report(degree: int, height: int, fmt: str) -> str:
+    """The `irr-count` report as json.dumps or csv.writer prints it, whole.
+
+    JSON is the sorted, 2-space-indented envelope with one witness object
+    per polynomial; CSV is a header and one row per polynomial, with the
+    factor pair as "(g)(h)" and an empty cell when irreducible.
+    """
+    witnesses = [
+        {"factors": [g.text() for g in w.factors] if w.factors else None,
+         "polynomial": f.text(), "status": w.status}
+        for f, w in admissible_witnesses(degree, height)
+    ]
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["polynomial", "status", "factors"])
+        for w in witnesses:
+            factors = "".join(f"({t})" for t in w["factors"] or ())
+            writer.writerow([w["polynomial"], w["status"], factors])
+        return out.getvalue()
+    results = {"ambient_count": len(witnesses),
+               "irreducible_count": sum(w["factors"] is None for w in witnesses),
+               "witnesses": witnesses}
+    envelope = {"command": "irr-count", "exact": True,
+                "parameters": {"degree": degree, "height": height},
+                "results": results, "toolkit_version": __version__}
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"

@@ -2,8 +2,8 @@
 
 `bench/tracer.py` rebinds package names by value at run time, with the
 signatures it expects; a renamed or re-signed entry point breaks traced
-benchmark runs only.  This runs a few library calls and `enumerate`
-commands under the tracer in a subprocess and compares them with the
+benchmark runs only.  This runs a few library calls and `enumerate` and
+`irr-count` commands under the tracer in a subprocess and compares them with the
 same calls untraced.
 """
 
@@ -84,3 +84,32 @@ def test_traced_enumerate_prints_the_untraced_bytes_and_draws_each_row(capsys):
     assert (code, out, drawn) == (0, capsys.readouterr().out, 804)
     assert cli.main(["enumerate", "--degree", "4", "--height", "10", "--limit", "5"]) == 0
     assert (limited_code, limited_out, limited_drawn) == (0, capsys.readouterr().out, 5)
+
+
+TRACED_IRR_COUNT = f"""
+import contextlib, io, json, sys
+sys.path[:0] = [{str(REPO_ROOT / "bench")!r}, {str(REPO_ROOT / "src")!r}]
+from admissible import cli
+from tracer import Tracer
+tracer = Tracer().install()
+
+def run(fmt):
+    out, before = io.StringIO(), tracer.counts["polynomials.enumerated"]
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["irr-count", "--degree", "4", "--height", "10", "--format", fmt])
+    return [code, out.getvalue(), tracer.counts["polynomials.enumerated"] - before]
+
+print(json.dumps([run("json"), run("csv")]))
+"""
+
+
+def test_traced_irr_count_prints_the_untraced_bytes(capsys):
+    # The traced cli-quartic runs compare irr-count's stdout fingerprint.
+    # Its verdict pass and its render pass each walk the 804 quartics.
+    proc = subprocess.run([sys.executable, "-c", TRACED_IRR_COUNT], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for fmt, traced in zip(["json", "csv"], json.loads(proc.stdout)):
+        argv = ["irr-count", "--degree", "4", "--height", "10", "--format", fmt]
+        assert cli.main(argv) == 0
+        assert traced == [0, capsys.readouterr().out, 2 * 804]

@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import io
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from admissible import cli
+from admissible import cli, integer_irreducibility
+from admissible.errors import FeasibilityError
 from admissible.finite_field import audit_irreducible_counts
+from admissible.integer_irreducibility import is_irreducible_over_z
 from admissible.polynomials import count_admissible_exact, enumerate_admissible
+
+from oracles import irr_count_report
 
 
 def test_count_payload(run_cli):
@@ -150,6 +156,75 @@ def test_irr_count_zero_ambient(run_cli):
     res = json.loads(run_cli("irr-count", "--degree", "3", "--height", "1").stdout)["results"]
     assert res["irreducible_count"] == 0
     assert res["witnesses"] == []
+
+
+def _irr_count(fmt, n, h):
+    return ["irr-count", "--degree", str(n), "--height", str(h), "--format", fmt]
+
+
+# (degree, height): N = 0 at (3, 1), every cubic reducible at (3, 2), then
+# censuses up to the 4,845 quintics of (5, 27), more than one block of rows.
+_CENSUSES = [(3, 1), (3, 2), (3, 6), (4, 10), (4, 24), (5, 27)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_irr_count_matches_the_whole_report_writers(capsys, fmt):
+    for n, h in _CENSUSES:
+        assert cli.main(_irr_count(fmt, n, h)) == 0
+        got = capsys.readouterr().out.splitlines(keepends=True)
+        want = irr_count_report(n, h, fmt).splitlines(keepends=True)
+        # The first differing line, not a diff of the whole report (which is slow).
+        first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                     min(len(got), len(want)))
+        assert got[first:first + 1] == want[first:first + 1], (n, h, first)
+        assert len(got) == len(want), (n, h)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_irr_count_search_limit_past_the_first_polynomial_leaves_stdout_empty(
+        capsys, monkeypatch, fmt):
+    # Two candidates admit the divisors +-1 of a_0 = 1; the first cubic of
+    # (3, 6) with a_0 = 2 needs four.  Eleven cubics are decided before it,
+    # reducible ones among them, so rows and witnesses exist when it trips.
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 2)
+    decided = []
+    with pytest.raises(FeasibilityError):
+        for f in enumerate_admissible(3, 6):
+            decided.append(is_irreducible_over_z(f))
+    assert len(decided) == 11 and not all(w.irreducible for w in decided)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_irr_count(fmt, 3, 6))
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    line, = err.splitlines()
+    assert json.loads(line)["message"].startswith("search space exceeded")
+
+
+class _Sink:
+    # Stands in for stdout and keeps only the size of what is written.
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_irr_count_memory_stays_below_one_megabyte(fmt):
+    # A(5, 27) writes about 800 KB of JSON.  The first run fills the mod-p
+    # caches, which last for the process; the second is traced.
+    first, second = _Sink(), _Sink()
+    with contextlib.redirect_stdout(first):
+        assert cli.main(_irr_count(fmt, 5, 27)) == 0
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(second):
+            assert cli.main(_irr_count(fmt, 5, 27)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second.chars == first.chars
+    assert peak < 1_000_000, peak
 
 
 def test_sieve_payload(run_cli):
