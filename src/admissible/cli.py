@@ -43,7 +43,7 @@ from .sieve import ChebyshevSample, audit_chebyshev, pipeline_lower_bound, prime
 # Python refuses to print integers past its int-to-str digit limit.
 _TOO_LARGE = "report too large: an integer exceeds the int-to-str digit limit"
 
-# Rows `enumerate` joins into one write.  On (5, 36), 256-row blocks cost
+# Rows a streamed report joins into one write.  On (5, 36), 256-row blocks cost
 # 9% more CPU, and larger blocks save none but raise peak memory (16,384
 # rows cost 20% more RSS).
 _BLOCK_ROWS = 1024
@@ -109,9 +109,8 @@ def _emit(args, results, exact, rows, columns):
     """Write `results` as a JSON envelope, or `rows` (dataclasses or dicts) as CSV.
 
     The whole report is rendered before anything is written, so a failure
-    leaves stdout empty.  `irr-count` alone does not come through here: it
-    decides every verdict before writing, then streams its rows from one
-    byte per polynomial plus the reducible witnesses.
+    leaves stdout empty.  `enumerate`, `irr-count` and `primes` stream
+    their rows through `_stream` instead.
     """
     if args.format == "csv":
         out = io.StringIO()
@@ -125,6 +124,32 @@ def _emit(args, results, exact, rows, columns):
     else:
         text = _envelope(args, results, exact)
     sys.stdout.write(text)
+
+
+def _stream(head, lines, sep="", tail=""):
+    """Write `head`, the iterator `lines` joined by `sep` in blocks, then `tail`."""
+    blocks = iter(lambda: sep.join(itertools.islice(lines, _BLOCK_ROWS)), "")
+    sys.stdout.write(head)
+    sys.stdout.write(next(blocks, ""))
+    for block in blocks:
+        sys.stdout.write(sep)
+        sys.stdout.write(block)
+    sys.stdout.write(tail)
+
+
+def _listed(args, results, rows):
+    """Stream the JSON report of exact `results` with `rows` as its last list.
+
+    That list is a field of `results`, left empty there; `rows` is an
+    iterator of its items, each rendered as json.dumps(indent=2) prints it
+    in that place.
+    """
+    before, after = _envelope(args, results, True).rsplit("[]", 1)
+    first = next(rows, None)
+    if first is None:
+        sys.stdout.write(before + "[]" + after)
+    else:
+        _stream(before + "[\n", itertools.chain((first,), rows), ",\n", "\n    ]" + after)
 
 
 # --- commands --------------------------------------------------------------
@@ -147,18 +172,16 @@ def cmd_enumerate(args):
     total = count_admissible_exact(n, args.height)
     cells = ["%d"] * n
     if args.format == "csv":
-        sys.stdout.write(",".join(["degree"] + [f"a{i}" for i in range(n)]) + "\n")
+        head = ",".join(["degree"] + [f"a{i}" for i in range(n)]) + "\n"
         template = f"{n}," + ",".join(cells) + "\n"
         marker = "# truncated\n"
     else:
+        head = ""
         template = '{"coeffs": [' + ", ".join(cells) + f'], "degree": {n}}}\n'
         marker = json.dumps({"emitted": args.limit, "truncated": True}, sort_keys=True) + "\n"
     shown = total if args.limit is None else min(args.limit, total)
     lines = map(template.__mod__, map(attrgetter("coeffs"), itertools.islice(stream, shown)))
-    while block := "".join(itertools.islice(lines, _BLOCK_ROWS)):
-        sys.stdout.write(block)
-    if shown < total:
-        sys.stdout.write(marker)
+    _stream(head, lines, tail=marker if shown < total else "")
 
 
 def cmd_irr_count(args):
@@ -180,16 +203,8 @@ def cmd_irr_count(args):
     # poly_text prints no comma, quote, backslash or newline, so no text
     # needs CSV quoting or JSON escaping.
     if args.format == "csv":
-        head, sep, tail = "polynomial,status,factors\n", "", ""
         templates = ("%(f)s,reducible,(%(g)s)(%(h)s)\n", "%(f)s,irreducible,\n")
     else:
-        results = dict(ambient_count=len(irreducible), irreducible_count=sum(irreducible),
-                       witnesses=[])
-        head, sep, tail = _envelope(args, results, True), ",\n", ""
-        if irreducible:  # the rows go into "witnesses": [], the envelope's last list
-            before, after = head.rsplit("[]", 1)
-            head, tail = before + "[\n", "\n    ]" + after
-
         def template(witness):
             # One witness as json.dumps prints it inside the envelope's list.
             text = json.dumps(dict(witness, polynomial="%(f)s"), indent=2, sort_keys=True)
@@ -206,13 +221,12 @@ def cmd_irr_count(args):
         return templates[status] % cells
 
     lines = map(row, enumerate_admissible(n, height), irreducible)
-    blocks = iter(lambda: sep.join(itertools.islice(lines, _BLOCK_ROWS)), "")
-    sys.stdout.write(head)
-    sys.stdout.write(next(blocks, ""))
-    for block in blocks:
-        sys.stdout.write(sep)
-        sys.stdout.write(block)
-    sys.stdout.write(tail)
+    if args.format == "csv":
+        _stream("polynomial,status,factors\n", lines)
+    else:
+        results = dict(ambient_count=len(irreducible), irreducible_count=sum(irreducible),
+                       witnesses=[])
+        _listed(args, results, lines)
 
 
 def cmd_sieve(args):
@@ -239,8 +253,11 @@ def cmd_fp_audit(args):
 
 def cmd_primes(args):
     ps = primes_below(args.below)
-    results = {"below": args.below, "count": len(ps), "primes": ps}
-    _emit(args, results, True, [{"p": p} for p in ps], ["p"])
+    if args.format == "csv":
+        _stream("p\n", map("%d\n".__mod__, ps))
+    else:
+        _listed(args, {"below": args.below, "count": len(ps), "primes": []},
+                map("      %d".__mod__, ps))
 
 
 def cmd_chebyshev(args):

@@ -4,14 +4,15 @@ The sifting sets here are "irreducible mod p": an admissible polynomial
 belongs to A_p when its reduction mod p is irreducible.  The polynomials
 are counted by their bitmask of A_p memberships over the primes below z;
 member counts, pairwise intersection counts and the sifted count are all
-read off that histogram, exactly.  Every Turan instance, the pipeline's
-included, takes the cheaper of two routes to it: testing every
+read off that histogram, exactly.  A_p is empty at every prime p up to
+the degree n, since f(1) = n! makes x - 1 a factor mod p, so only the
+primes above n are tested.  Every Turan instance, the pipeline's
+included, takes the cheaper of two routes to their masks: testing every
 polynomial, or counting by residue class.  Membership in A_p depends on
-f mod p only, so the second route tests residue vectors and counts the
-integer lifts of each in closed form: p^(n-1) vectors mod each prime p
-up to the degree n, where A_p must be empty, and P^(n-1) mod the product
-P of the primes above it, which give every mask.  The bound is evaluated
-in exact rational arithmetic, so a violation means a bug.
+f mod p only, so the second route tests the P^(n-1) residue vectors mod
+the product P of those primes and counts the integer lifts of each in
+closed form.  The bound is evaluated in exact rational arithmetic, so a
+violation means a bug.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ SIEVE_LIMIT = 10**7
 # each already takes seconds, and 9,592 primes would mean a 46M-entry table.
 INSTANCE_PRIME_LIMIT = 500
 
-# Most direct tests an instance may need at the primes below z that get
-# no lookup table (finite_field._tabled): the ambient size per
-# such prime when every polynomial is tested, or the residue vectors of
-# each pass per such prime it tests when counting by residue class.
+# Most direct tests an instance may need at the primes in (degree, z) that
+# get no lookup table (finite_field._tabled): per such prime, the ambient
+# size when every polynomial is tested, or the residue vectors mod the
+# product of those primes when counting by residue class.
 # One degree-4 test took 0.1 ms (p near 17) to 0.4 ms (p near 3,571) on
 # a 2 vCPU Intel Xeon with Python 3.11, so this is about 8 s at most; at
 # degree 6, the 16,807 tests mod 7 take 2.3 s.
@@ -123,7 +124,6 @@ def audit_chebyshev(z_max: int) -> ChebyshevAudit:
     samples = []
     ratio_min: float | None = None
     ratio_max: float | None = None
-    within = True
     log = math.log
     running = 0
     for z in range(2, z_max + 1):
@@ -134,8 +134,6 @@ def audit_chebyshev(z_max: int) -> ChebyshevAudit:
                 ratio_min = ratio
             if ratio_max is None or ratio > ratio_max:
                 ratio_max = ratio
-            if not lo <= ratio <= hi:
-                within = False
         if z in checkpoints:
             samples.append(ChebyshevSample(z=z, prime_count=running, ratio=running * log(z) / z))
     return ChebyshevAudit(
@@ -144,7 +142,7 @@ def audit_chebyshev(z_max: int) -> ChebyshevAudit:
         scan_start=scan_start,
         ratio_min=ratio_min,
         ratio_max=ratio_max,
-        within_band=within,
+        within_band=ratio_min is None or lo <= ratio_min and ratio_max <= hi,
         band=CHEBYSHEV_BAND,
     )
 
@@ -280,7 +278,7 @@ def _slice_histogram(degree: int, height: int, modulus: int,
     # [0, height] have sum(q) = (degree! - 1 - sum(r)) / modulus, with q_i
     # capped at height // modulus, less one when r_i > height % modulus;
     # so vectors with equal (mask, sum(r), number of such r_i) share one
-    # two-cap composition count.
+    # two-cap composition count.  Mod 1 the one vector has all N(H) lifts.
     target = target_sum(degree)
     irreducible = 1 | 1 << degree
     cap, rest = divmod(height, modulus)
@@ -299,26 +297,6 @@ def _slice_histogram(degree: int, height: int, modulus: int,
         if lifts:
             histogram[mask] = histogram.get(mask, 0) + vectors * lifts
     return histogram
-
-
-def _residue_moduli(degree: int, primes: tuple[int, ...]) -> list[int]:
-    # The moduli of the residue route's passes, in order: each prime up to
-    # the degree, then the product of the primes above it (1 when none).
-    return [*(p for p in primes if p <= degree), math.prod(p for p in primes if p > degree)]
-
-
-def _residue_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
-    # The membership histogram by residue class, since membership in A_p
-    # depends on f mod p only.  A_p is empty for p <= degree, where
-    # f(1) = degree! makes x - 1 a factor; one pass mod each such p checks
-    # that.  The last pass, mod the product of the primes above the degree,
-    # gives every mask; mod 1 it is the one vector with all N(H) lifts.
-    *checks, product = _residue_moduli(degree, primes)
-    for p in checks:
-        if 1 in _slice_histogram(degree, height, p, [(1, factor_degree_sets(p, degree))]):
-            raise RuntimeError(f"A_{p} is not empty at degree {degree}; this is a bug")
-    sifting = [(1 << i, factor_degree_sets(p, degree)) for i, p in enumerate(primes) if p > degree]
-    return _slice_histogram(degree, height, product, sifting)
 
 
 def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
@@ -340,43 +318,45 @@ def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
 
 
 def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
-    # The membership histogram of the admissible set over `primes`, by the
-    # cheaper route: N(H) tests at each prime (priced as one prime when
-    # there are none, since the enumeration is still walked), or the
-    # residue vectors of the passes _residue_histogram makes, m^(degree-1)
-    # for each modulus m of _residue_moduli; a count past the enumeration's
-    # price is only known to be past it.  The route's direct tests, at the
-    # primes whose polynomials get no lookup table, are checked against
-    # DIRECT_TEST_LIMIT before any test is made.
+    # The membership histogram of the admissible set over `primes`.  Only
+    # `sifting`, the primes above the degree, is priced and tested: at the
+    # others A_p is empty and the bits stay clear.  Enumeration makes N(H)
+    # tests at each (priced as one prime when there are none, since the
+    # enumeration is still walked); the residue route tests the vectors mod
+    # their product, a count past the enumeration's price only known to be
+    # past it.  The route's direct tests, at the primes with no lookup
+    # table, are checked against DIRECT_TEST_LIMIT before any test is made.
+    skip = sum(p <= degree for p in primes)
+    sifting = primes[skip:]
     size = count_admissible_exact(degree, height)
-    enumerated = size * max(len(primes), 1)
-    moduli = _residue_moduli(degree, primes)
-    passes = [(m, _capped_power(m, degree - 1, enumerated)) for m in moduli]
-    untabled = [p for p in primes if not _tabled(p, degree)]
-    by_residue = sum(vectors for _, vectors in passes) < enumerated
-    tests = (sum(vectors * sum(m % p == 0 for p in untabled) for m, vectors in passes)
-             if by_residue else size * len(untabled))
+    enumerated = size * max(len(sifting), 1)
+    product = math.prod(sifting)
+    vectors = _capped_power(product, degree - 1, enumerated)
+    by_residue = vectors < enumerated
+    tests = (vectors if by_residue else size) * sum(not _tabled(p, degree) for p in sifting)
     if tests > DIRECT_TEST_LIMIT:
         raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
                                f"without a table exceed limit {DIRECT_TEST_LIMIT}")
     if by_residue:
-        return _residue_histogram(degree, height, primes)
-    return _membership_histogram(enumerate_admissible(degree, height), primes)
+        lookups = [(1 << i, factor_degree_sets(p, degree)) for i, p in enumerate(sifting, skip)]
+        return _slice_histogram(degree, height, product, lookups)
+    histogram = _membership_histogram(enumerate_admissible(degree, height), sifting)
+    return {mask << skip: count for mask, count in histogram.items()}
 
 
 def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance:
     """Materialize the sifting problem for the admissible set at level z.
 
     Densities are all 1/degree; member and pairwise counts are exact.
-    They come from the cheaper of two routes: testing all N(H)
-    admissible polynomials at each of the pi(z) primes below z, or
-    counting by residue class, since membership in A_p depends on f mod
-    p only.  The residue route tests the residue vectors on the slice of
-    coefficient sum degree! - 1, p^(degree-1) of them mod each prime p up
-    to the degree and P^(degree-1) mod the product P of the primes above
-    it, and counts the lifts of each with one composition count.  With
-    no primes below z, P = 1 and its one vector counts all N(H)
-    polynomials.  The closed-form remainder shapes belong
+    A_p is empty at each prime p up to the degree, where f(1) = degree!
+    makes x - 1 a factor, so only the primes above the degree are tested,
+    by the cheaper of two routes: testing all N(H) admissible polynomials
+    at each, or counting by residue class, since membership in A_p
+    depends on f mod p only.  The residue route tests the P^(degree-1)
+    residue vectors mod the product P of those primes on the slice of
+    coefficient sum degree! - 1, and counts the lifts of each with one
+    composition count; with no such prime, P = 1 and its one vector
+    counts all N(H) polynomials.  The closed-form remainder shapes belong
     to the pipeline report, never to this instance.  Raises
     FeasibilityError ("sieve level too large") past INSTANCE_PRIME_LIMIT
     primes below z, and ("sieve work too large") when the chosen route

@@ -8,11 +8,12 @@ import tracemalloc
 
 import pytest
 
-from admissible import cli, integer_irreducibility
+from admissible import __version__, cli, integer_irreducibility
 from admissible.errors import FeasibilityError
 from admissible.finite_field import audit_irreducible_counts
 from admissible.integer_irreducibility import is_irreducible_over_z
 from admissible.polynomials import count_admissible_exact, enumerate_admissible
+from admissible.sieve import primes_below
 
 from oracles import irr_count_report
 
@@ -265,6 +266,46 @@ def test_primes_payload(run_cli):
     assert res["primes"] == [2, 3, 5, 7]
     res = json.loads(run_cli("primes", "--below", "2").stdout)["results"]
     assert res["primes"] == [] and res["count"] == 0
+
+
+def _primes_report(below, fmt):
+    # The `primes` report as json.dumps or csv.writer prints it, whole.
+    ps = list(primes_below(below))
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["p"])
+        writer.writerows([p] for p in ps)
+        return out.getvalue()
+    envelope = {"command": "primes", "exact": True, "parameters": {"below": below},
+                "results": {"below": below, "count": len(ps), "primes": ps},
+                "toolkit_version": __version__}
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_primes_matches_the_whole_report_writers(capsys, fmt):
+    # No prime below 2, one below 3, and 1,028 below 8200: past one block.
+    assert len(primes_below(8200)) == 1_028 > cli._BLOCK_ROWS
+    for below in (2, 3, 30, 8200):
+        assert cli.main(["primes", "--below", str(below), "--format", fmt]) == 0
+        assert capsys.readouterr().out == _primes_report(below, fmt), below
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_primes_memory_stays_below_eight_megabytes(fmt):
+    # The 78,498 primes below 10^6 and the sieve's flags take about 4.5 MB
+    # traced; rendering the whole report first peaked at 24 to 25 MB.
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(["primes", "--below", "1000000", "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 500_000
+    assert peak < 8_000_000, peak
 
 
 def test_chebyshev_payload(run_cli):

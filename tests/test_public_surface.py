@@ -36,7 +36,8 @@ ORACLE_NAMES = (
 # with _divmod last, once that factorization counted its factors from gcd
 # degrees instead of dividing them out; and the box builder and its
 # separate candidate count, folded into _bounded_factor_search, which
-# builds and counts the box of the open factor degrees only.
+# builds and counts the box of the open factor degrees only; and the
+# residue route's passes mod each p <= n, which only found A_p empty.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -53,6 +54,8 @@ DELETED_NAMES = (
     "_mul",
     "_powmod",
     "_prime_divisors",
+    "_residue_histogram",
+    "_residue_moduli",
     "_same_modulus",
     "_sub",
     "_table_or_direct",

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import time
 from fractions import Fraction
 
@@ -322,10 +324,10 @@ def test_sieve_data_matches_brute_force_property(n, h, z):
 
 
 def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
-    # (4, 24, z=6): 2^3 + 3^3 + 5^3 = 160 residue vectors against 2,600 * 3
-    # tests, so the sieve counts by residue class and only A(H) enumerates.
-    # (4, 24, z=8): 2,600 * 4 = 10,400 tests against 2^3 + 3^3 + 35^3 =
-    # 42,910 vectors, so the sieve enumerates too.
+    # Only the primes above the degree are tested.  (4, 24, z=6): 5^3 = 125
+    # residue vectors against 2,600 tests, so the sieve counts by residue
+    # class and only A(H) enumerates.  (4, 24, z=8): 2,600 * 2 = 5,200
+    # tests against 35^3 = 42,875 vectors, so the sieve enumerates too.
     calls = []
 
     def counted_enumerate(*args):
@@ -413,33 +415,46 @@ def test_direct_test_limit_is_inclusive(monkeypatch):
         build_admissible_instance(4, 6, 20)
 
 
+# (degree, heights, levels): z = 8 and 11 put 5 and 7 above degrees 3 and 4,
+# so the residue route counts mod 35; at degree 5 only 7 lies above the
+# degree below 11.
+_ROUTE_GRIDS = [
+    (3, range(9), (1, 2, 3, 4, 6, 8, 11)),
+    (4, (5, 6, 7, 9, 10), (2, 4, 6, 8, 11)),
+    (5, (24, 25, 27), (6, 8, 11)),
+]
+
+
+def _residue_route(n, h, primes):
+    # The histogram mod the product of the primes above n, each at its bit.
+    lookups = [(1 << i, sieve.factor_degree_sets(p, n)) for i, p in enumerate(primes) if p > n]
+    return sieve._slice_histogram(n, h, math.prod(p for p in primes if p > n), lookups)
+
+
 def test_residue_route_matches_enumeration_on_grids():
-    # z = 8 and 11 give the pass mod 35 at degrees 3 and 4 (A_5, A_7 both
-    # non-empty); at degree 5 only A_7 is non-empty below 11.
-    grids = [
-        (3, range(9), (1, 2, 3, 4, 6, 8, 11)),
-        (4, (5, 6, 7, 9, 10), (2, 4, 6, 8, 11)),
-        (5, (24, 25, 27), (6, 8, 11)),
-    ]
-    for n, heights, levels in grids:
+    # Enumeration tests every prime below z, where f(1) = n! keeps each
+    # p <= n from being tested, and both routes agree with the one chosen.
+    for n, heights, levels in _ROUTE_GRIDS:
         for h in heights:
             for z in levels:
                 primes = primes_below(z)
-                by_residue = sieve._residue_histogram(n, h, primes)
                 by_test = sieve._membership_histogram(enumerate_admissible(n, h), primes)
-                assert by_residue == by_test, (n, h, z)
+                assert _residue_route(n, h, primes) == by_test, (n, h, z)
+                assert sieve._admissible_histogram(n, h, primes) == by_test, (n, h, z)
 
 
 def test_residue_route_product_pass_at_the_smoke_instance():
     # (4, 10, 8): A_5 and A_7 are both non-empty, so the masks come from
     # the 35^3 residue vectors mod 35; bits 2 and 3 stand for 5 and 7.
+    # The cost model enumerates here (804 * 2 tests) and agrees.
     histogram = {0: 419, 0b0100: 157, 0b1000: 158, 0b1100: 70}
-    assert sieve._residue_histogram(4, 10, primes_below(8)) == histogram
+    assert _residue_route(4, 10, primes_below(8)) == histogram
+    assert sieve._admissible_histogram(4, 10, primes_below(8)) == histogram
 
 
-def test_residue_route_walks_each_prime_up_to_the_degree_and_one_product(monkeypatch):
-    # Mod 2 and 3 the passes only check that A_2 and A_3 are empty; the
-    # masks of 5 and 7 all come from the one pass mod 35.
+def test_residue_route_makes_one_pass_mod_the_primes_above_the_degree(monkeypatch):
+    # No pass is made mod 2 or 3, where A_p is empty.  At (4, 10, 8) the
+    # route is taken once N(H) is priced past 35^3 / 2 polynomials.
     moduli = []
     real = sieve._slice_histogram
 
@@ -448,10 +463,62 @@ def test_residue_route_walks_each_prime_up_to_the_degree_and_one_product(monkeyp
         return real(degree, height, modulus, lookups)
 
     monkeypatch.setattr(sieve, "_slice_histogram", counted_slice)
+    assert sieve._admissible_histogram(4, 24, (2, 3, 5)) == {0: 1900, 0b100: 700}
+    assert moduli == [5]
+    moduli.clear()
+    monkeypatch.setattr(sieve, "count_admissible_exact", lambda degree, height: 10**6)
     primes = (2, 3, 5, 7)
-    histogram = sieve._residue_histogram(4, 10, primes)
-    assert moduli == [2, 3, 35]
+    histogram = sieve._admissible_histogram(4, 10, primes)
+    assert moduli == [35]
     assert histogram == sieve._membership_histogram(enumerate_admissible(4, 10), primes)
+
+
+def test_no_lookup_is_built_at_a_prime_up_to_the_degree(monkeypatch):
+    # A_p is empty for p <= n, so neither route builds its lookup.
+    real, real_slice = sieve.factor_degree_sets, sieve._slice_histogram
+    routes = set()
+
+    def checked_lookup(p, degree):
+        assert p > degree, (p, degree)
+        return real(p, degree)
+
+    def counted_enumerate(degree, height):
+        routes.add("enumeration")
+        return enumerate_admissible(degree, height)
+
+    def counted_slice(*args):
+        routes.add("residue")
+        return real_slice(*args)
+
+    monkeypatch.setattr(sieve, "factor_degree_sets", checked_lookup)
+    monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
+    monkeypatch.setattr(sieve, "_slice_histogram", counted_slice)
+    for n, heights, levels in _ROUTE_GRIDS:
+        for h in heights:
+            for z in levels:
+                build_admissible_instance(n, h, z)
+    assert routes == {"enumeration", "residue"}
+
+
+def test_an_instance_with_no_prime_above_the_degree_is_answered_without_a_lookup(monkeypatch):
+    # (7, 722, 8): every prime below 8 is at most 7, so all four A_p are
+    # empty and the one vector mod 1 counts the 54,264 septics.
+    def no_lookup(p, degree):
+        raise AssertionError("a lookup was built")
+
+    monkeypatch.setattr(sieve, "factor_degree_sets", no_lookup)
+    inst = build_admissible_instance(7, 722, 8)
+    assert inst.ambient_size == count_admissible_exact(7, 722) == 54_264
+    assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 0}
+
+
+def test_direct_tests_are_priced_at_the_primes_above_the_degree_only(run_cli):
+    # (7, 722, 17): 54,264 septics tested at 11 and 13, which get no table;
+    # 5 and 7 are never tested, so they are not priced.
+    proc = run_cli("sieve", "--degree", "7", "--height", "722", "--z", "17", expect_code=3)
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["message"].startswith(
+        "sieve work too large: 108528 direct tests")
 
 
 def test_an_instance_with_no_primes_below_z_is_counted_not_enumerated(monkeypatch):
@@ -478,15 +545,6 @@ def test_residue_route_at_degree_6():
     assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 8495}
 
 
-def test_residue_route_flags_a_non_empty_a_p_below_the_degree(monkeypatch):
-    # f(1) = n! makes x - 1 a factor mod every p <= n; a lookup that says
-    # otherwise can only be a bug.
-    monkeypatch.setattr(sieve, "factor_degree_sets",
-                        lambda p, degree: lambda coeffs: 1 | 1 << degree)
-    with pytest.raises(RuntimeError, match="A_2 is not empty at degree 4; this is a bug"):
-        sieve._residue_histogram(4, 10, (2,))
-
-
 def test_cost_model_picks_the_cheaper_route(monkeypatch):
     routes = []
     real = enumerate_admissible
@@ -496,8 +554,8 @@ def test_cost_model_picks_the_cheaper_route(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
-    # (5, 36, 8): 2^4 + 3^4 + 5^4 + 7^4 = 3,123 residue vectors against
-    # 574,665 * 4 tests, and A_7 alone is non-empty.
+    # (5, 36, 8): 7^4 = 2,401 residue vectors against 574,665 tests, and
+    # A_7 alone is non-empty.
     inst = build_admissible_instance(5, 36, 8)
     assert routes == []
     assert inst.ambient_size == 574_665
@@ -505,7 +563,7 @@ def test_cost_model_picks_the_cheaper_route(monkeypatch):
     assert inst.pair_counts[(7, 7)] == 130_179
     assert all(c == 0 for key, c in inst.pair_counts.items() if key != (7, 7))
     assert turan_upper_bound(inst) == Fraction(37_194_885, 16)
-    # (4, 10, 8): 804 * 4 tests against 8 + 27 + 35^3 vectors.
+    # (4, 10, 8): 804 * 2 tests against 35^3 vectors.
     inst = build_admissible_instance(4, 10, 8)
     assert routes == [(4, 10)]
     assert inst.pair_counts[(5, 7)] == 70
