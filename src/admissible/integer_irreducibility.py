@@ -23,7 +23,8 @@ needed.  The decision runs in three stages:
    with no norm, no divisor of a_0 and no division.
 
 The candidates of the degrees stage 2 leaves open, and only those, are
-counted against SEARCH_LIMIT before any is tried.
+counted against SEARCH_LIMIT before any is tried, and so are the
+sqrt|a_0| trial divisions that list the divisors of a_0.
 
 Every stage only drops candidates that cannot divide f, and the box is
 searched degree by degree, so the witness is the first divisor of the
@@ -50,7 +51,7 @@ FACTOR_DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 # Most candidate factors one polynomial may need from its Mignotte box:
 # those of the degrees its factor-degree sets leave open, counted before
-# any is tried.
+# any is tried.  It also caps the trial divisions that list a_0's divisors.
 SEARCH_LIMIT = 10**9
 
 
@@ -124,8 +125,9 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     Raises FeasibilityError ("search space exceeded") when the part of
     the Mignotte box that f needs holds more than SEARCH_LIMIT candidate
     factors: those of the degrees its factor-degree sets leave open,
-    counted before any is tried.  No box is built when none is open.
-    It never returns a wrong answer.
+    counted before any is tried, or when listing the divisors of a_0
+    takes more than SEARCH_LIMIT trial divisions, about sqrt|a_0|.  No
+    box is built when none is open.  It never returns a wrong answer.
     """
     n = f.degree
     if n == 1:
@@ -200,11 +202,16 @@ def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> Factorization
     # is set in `degrees`, degree by degree; with none set, no box is built.
     # Mignotte: |g_i| <= C(m-1, i)*||f||_2 + C(m-1, i-1) for any factor of
     # degree m (f monic), so every degree shares the constant terms: the
-    # divisors of a_0 up to ||f||_2.  The candidates are counted against
-    # SEARCH_LIMIT before any is tried.
+    # divisors of a_0 up to ||f||_2.  Listing them takes sqrt|a_0| trial
+    # divisions (||f||_2 >= |a_0| never cuts the loop), so that count is
+    # checked against SEARCH_LIMIT first, then the candidates, all before
+    # any is tried.
     if not degrees:
         return FactorizationWitness("irreducible")
     full = list(f.all_coefficients())
+    if (trials := math.isqrt(abs(full[0]))) > SEARCH_LIMIT:
+        raise FeasibilityError(f"search space exceeded: {trials} trial divisions of a_0 "
+                               f"exceed limit {SEARCH_LIMIT}")
     norm = _ceil_sqrt(sum(c * c for c in full))
     divisors = _signed_divisors(full[0], norm)
     box = [(m, [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)])

@@ -6,13 +6,13 @@ are counted by their bitmask of A_p memberships over the primes below z;
 member counts, pairwise intersection counts and the sifted count are all
 read off that histogram, exactly.  A_p is empty at every prime p up to
 the degree n, since f(1) = n! makes x - 1 a factor mod p, so only the
-primes above n are tested.  Every Turan instance, the pipeline's
-included, takes the cheaper of two routes to their masks: testing every
-polynomial, or counting by residue class.  Membership in A_p depends on
-f mod p only, so the second route tests the P^(n-1) residue vectors mod
-the product P of those primes and counts the integer lifts of each in
-closed form.  The bound is evaluated in exact rational arithmetic, so a
-violation means a bug.
+primes above n are tested.  Membership in A_p depends on f mod p only,
+so every Turan instance, the pipeline's included, walks the residue
+vectors with a lift mod one modulus M and counts the lifts of each in
+closed form: M is the product P of those primes when its P^(n-1)
+vectors cost less than testing every polynomial, else H + 1, where the
+walk is the admissible set itself.  The bound is evaluated in exact
+rational arithmetic, so a violation means a bug.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .finite_field import _capped_power, _tabled, factor_degree_sets
 from .integer_irreducibility import is_irreducible_over_z
 from .polynomials import (
     MonicIntPolynomial,
+    _bounded_vectors,
     check_degree,
     count_admissible_exact,
     enumerate_admissible,
@@ -46,8 +47,8 @@ INSTANCE_PRIME_LIMIT = 500
 
 # Most direct tests an instance may need at the primes in (degree, z) that
 # get no lookup table (finite_field._tabled): per such prime, the ambient
-# size when every polynomial is tested, or the residue vectors mod the
-# product of those primes when counting by residue class.
+# size when the walk is past the height, or the residue vectors mod the
+# product of those primes when it is mod that product.
 # One degree-4 test took 0.1 ms (p near 17) to 0.4 ms (p near 3,571) on
 # a 2 vCPU Intel Xeon with Python 3.11, so this is about 8 s at most; at
 # degree 6, the 16,807 tests mod 7 take 2.3 s.
@@ -106,36 +107,35 @@ class ChebyshevAudit:
 def audit_chebyshev(z_max: int) -> ChebyshevAudit:
     """Scan pi(z) * ln(z) / z over [17, z_max] and sample a few checkpoints.
 
-    The scan shares a single sieve pass with the running prime count, so
-    a million-point audit stays cheap.
+    pi(z) is constant between consecutive primes p < q, and ln(z) / z
+    falls for z >= 3, so on each gap [p, q - 1] (the last one cut at
+    z_max) the ratio peaks at p and bottoms out at q - 1.  The scan
+    evaluates only those two ends of each gap, and the checkpoints' prime
+    counts are read off the same sieve.
     """
     if z_max < 3:
         raise ValueError(f"z_max must be >= 3, got {z_max}")
     flags = _prime_flags(z_max + 1)
 
-    checkpoints = {3, z_max}
-    mark = 10
-    while mark <= z_max:
-        checkpoints.add(mark)
-        mark *= 10
+    def ratio(count: int, z: int) -> float:
+        return count * math.log(z) / z
 
-    scan_start = 17
+    checkpoints = sorted({3, z_max, *(10**k for k in range(1, len(str(z_max))))})
+    counts = {z: flags.count(1, 0, z + 1) for z in checkpoints}
+    samples = [ChebyshevSample(z=z, prime_count=c, ratio=ratio(c, z)) for z, c in counts.items()]
+
+    scan_start = 17  # a prime, so the first gap starts there
     lo, hi = CHEBYSHEV_BAND
-    samples = []
-    ratio_min: float | None = None
-    ratio_max: float | None = None
-    log = math.log
-    running = 0
-    for z in range(2, z_max + 1):
-        running += flags[z]
-        if z >= scan_start:
-            ratio = running * log(z) / z
-            if ratio_min is None or ratio < ratio_min:
-                ratio_min = ratio
-            if ratio_max is None or ratio > ratio_max:
-                ratio_max = ratio
-        if z in checkpoints:
-            samples.append(ChebyshevSample(z=z, prime_count=running, ratio=running * log(z) / z))
+    ratio_min = ratio_max = None
+    if z_max >= scan_start:
+        def primes():  # from scan_start to z_max
+            return itertools.compress(range(scan_start, z_max + 1), memoryview(flags)[scan_start:])
+
+        first = flags.count(1, 0, scan_start) + 1  # pi(scan_start)
+        # Gap i runs from the i-th prime p to q - 1, q the next prime or z_max + 1.
+        ends = itertools.chain(itertools.islice(primes(), 1, None), (z_max + 1,))
+        ratio_max = max(map(ratio, itertools.count(first), primes()))
+        ratio_min = min(ratio(c, q - 1) for c, q in zip(itertools.count(first), ends))
     return ChebyshevAudit(
         z_max=z_max,
         samples=tuple(samples),
@@ -216,34 +216,6 @@ def turan_upper_bound(inst: TuranInstance) -> Fraction:
     return Fraction(size) / U + 2 / U * single + 1 / U**2 * double
 
 
-def _membership_histogram(ambient: Iterable[MonicIntPolynomial], primes: tuple[int, ...],
-                          first_hit: bool = False) -> dict[int, int]:
-    # The one membership pass: polynomials counted by an integer mask whose
-    # bit i is set iff the reduction mod primes[i] is irreducible.  With
-    # first_hit a polynomial stops at its first irreducible reduction, so
-    # only mask 0 (the sifted count) stays exact.  A prime p | f(1) is not
-    # tested at degree >= 2: x - 1 divides f mod p, so f is reducible there.
-    histogram: dict[int, int] = {}
-    degree = None
-    for f in ambient:
-        if f.degree != degree:
-            if degree is not None:
-                raise ValueError(f"mixed degrees: {f.degree} after {degree}")
-            degree = f.degree
-            irreducible = 1 | 1 << degree
-            lookups = [(1 << i, p, factor_degree_sets(p, degree)) for i, p in enumerate(primes)]
-        coeffs = f.coeffs
-        at_one = sum(coeffs) + 1 if degree > 1 else 1  # 1: no prime divides it
-        mask = 0
-        for bit, p, degrees in lookups:
-            if at_one % p and degrees(coeffs) == irreducible:
-                mask |= bit
-                if first_hit:
-                    break
-        histogram[mask] = histogram.get(mask, 0) + 1
-    return histogram
-
-
 def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     """Count polynomials whose reduction is reducible at every prime p < z.
 
@@ -253,7 +225,24 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     further prime once one reduction is irreducible, and at degree >= 2
     not at a prime dividing f(1), where x - 1 makes it reducible.
     """
-    return _membership_histogram(ambient, primes_below(z), first_hit=True).get(0, 0)
+    primes = primes_below(z)
+    sifted = 0
+    degree = None
+    for f in ambient:
+        if f.degree != degree:
+            if degree is not None:
+                raise ValueError(f"mixed degrees: {f.degree} after {degree}")
+            degree = f.degree
+            irreducible = 1 | 1 << degree
+            lookups = [(p, factor_degree_sets(p, degree)) for p in primes]
+        coeffs = f.coeffs
+        at_one = sum(coeffs) + 1 if degree > 1 else 1  # 1: no prime divides it
+        for p, degrees in lookups:
+            if at_one % p and degrees(coeffs) == irreducible:
+                break
+        else:
+            sifted += 1
+    return sifted
 
 
 def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:
@@ -270,30 +259,33 @@ def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:
 
 def _slice_histogram(degree: int, height: int, modulus: int,
                      lookups: list[tuple[int, Callable[[Sequence[int]], int]]]) -> dict[int, int]:
-    # {mask: count} over the admissible polynomials, from the
-    # modulus^(degree-1) residue vectors r mod `modulus` on the slice
-    # sum(r) = degree! - 1 (mod modulus); bit is set where the divisor
-    # degrees of r are {0, degree}.  Each (bit, lookup) must depend on
-    # f mod `modulus` only.  The lifts a_i = r_i + modulus * q_i in
-    # [0, height] have sum(q) = (degree! - 1 - sum(r)) / modulus, with q_i
-    # capped at height // modulus, less one when r_i > height % modulus;
-    # so vectors with equal (mask, sum(r), number of such r_i) share one
-    # two-cap composition count.  Mod 1 the one vector has all N(H) lifts.
+    # {mask: count} over the admissible polynomials, from the residue
+    # vectors r mod `modulus` that have a lift; bit is set where the divisor
+    # degrees of r are {0, degree}, and each lookup must depend on f mod
+    # `modulus` only.  The lifts a_i = r_i + modulus * q_i in [0, height]
+    # have sum(r) = degree! - 1 - modulus * s, s = sum(q), and q_i at most
+    # height // modulus, less one when r_i > height % modulus.  So the walk
+    # takes each s over the vectors of entries up to min(modulus - 1,
+    # height), and vectors with equal (mask, s, number of such r_i) share
+    # one two-cap composition count.  Mod 1 the one vector has all N(H)
+    # lifts; past the height only s = 0 is left, each vector its own lift.
     target = target_sum(degree)
     irreducible = 1 | 1 << degree
+    top = min(modulus - 1, height)
     cap, rest = divmod(height, modulus)
     groups: dict[tuple[int, int, int], int] = {}
-    for tail in itertools.product(range(modulus), repeat=degree - 1):
-        r = ((target - sum(tail)) % modulus, *tail)
-        mask = 0
-        for bit, degrees in lookups:
-            if degrees(r) == irreducible:
-                mask |= bit
-        key = (mask, sum(r), sum(c > rest for c in r))
-        groups[key] = groups.get(key, 0) + 1
+    for s in range(max(0, -((degree * top - target) // modulus)),
+                   min(target // modulus, degree * cap) + 1):
+        for r in _bounded_vectors(degree, target - s * modulus, top):
+            mask = 0
+            for bit, degrees in lookups:
+                if degrees(r) == irreducible:
+                    mask |= bit
+            key = (mask, s, sum(c > rest for c in r))
+            groups[key] = groups.get(key, 0) + 1
     histogram: dict[int, int] = {}
-    for (mask, total, short), vectors in groups.items():
-        lifts = count_two_cap_compositions(degree, (target - total) // modulus, cap, short)
+    for (mask, s, short), vectors in groups.items():
+        lifts = count_two_cap_compositions(degree, s, cap, short)
         if lifts:
             histogram[mask] = histogram.get(mask, 0) + vectors * lifts
     return histogram
@@ -320,10 +312,10 @@ def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
 def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
     # The membership histogram of the admissible set over `primes`.  Only
     # `sifting`, the primes above the degree, is priced and tested: at the
-    # others A_p is empty and the bits stay clear.  Enumeration makes N(H)
-    # tests at each (priced as one prime when there are none, since the
-    # enumeration is still walked); the residue route tests the vectors mod
-    # their product, a count past the enumeration's price only known to be
+    # others A_p is empty and the bits stay clear.  The walk mod H + 1 makes
+    # N(H) tests at each (priced as one prime when there are none, since
+    # the vectors are still walked); the walk mod their product P tests at
+    # most P^(n-1) vectors, a count past the other price only known to be
     # past it.  The route's direct tests, at the primes with no lookup
     # table, are checked against DIRECT_TEST_LIMIT before any test is made.
     skip = sum(p <= degree for p in primes)
@@ -337,11 +329,8 @@ def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> 
     if tests > DIRECT_TEST_LIMIT:
         raise FeasibilityError(f"sieve work too large: {tests} direct tests for primes "
                                f"without a table exceed limit {DIRECT_TEST_LIMIT}")
-    if by_residue:
-        lookups = [(1 << i, factor_degree_sets(p, degree)) for i, p in enumerate(sifting, skip)]
-        return _slice_histogram(degree, height, product, lookups)
-    histogram = _membership_histogram(enumerate_admissible(degree, height), sifting)
-    return {mask << skip: count for mask, count in histogram.items()}
+    lookups = [(1 << i, factor_degree_sets(p, degree)) for i, p in enumerate(sifting, skip)]
+    return _slice_histogram(degree, height, product if by_residue else height + 1, lookups)
 
 
 def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance:
@@ -350,17 +339,17 @@ def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance
     Densities are all 1/degree; member and pairwise counts are exact.
     A_p is empty at each prime p up to the degree, where f(1) = degree!
     makes x - 1 a factor, so only the primes above the degree are tested,
-    by the cheaper of two routes: testing all N(H) admissible polynomials
-    at each, or counting by residue class, since membership in A_p
-    depends on f mod p only.  The residue route tests the P^(degree-1)
-    residue vectors mod the product P of those primes on the slice of
-    coefficient sum degree! - 1, and counts the lifts of each with one
-    composition count; with no such prime, P = 1 and its one vector
-    counts all N(H) polynomials.  The closed-form remainder shapes belong
-    to the pipeline report, never to this instance.  Raises
-    FeasibilityError ("sieve level too large") past INSTANCE_PRIME_LIMIT
-    primes below z, and ("sieve work too large") when the chosen route
-    needs more than DIRECT_TEST_LIMIT direct tests.
+    in one walk over the residue vectors with a lift mod M (see
+    _slice_histogram).  M is the product P of those primes when its
+    P^(degree-1) vectors cost less than N(H) tests at each prime (P = 1
+    with no such prime: one vector, N(H) lifts), else H + 1, where the
+    walk is the admissible set and builds no polynomial object.  It needs
+    no ENUM_LIMIT: an untabled prime above the degree keeps N(H) within
+    DIRECT_TEST_LIMIT, and with every such prime tabled N(H) <= 2,600.
+    The closed-form remainder shapes belong to the pipeline report, never
+    to this instance.  Raises FeasibilityError ("sieve level too large")
+    past INSTANCE_PRIME_LIMIT primes below z, and ("sieve work too
+    large") when the walk needs more than DIRECT_TEST_LIMIT direct tests.
     """
     primes = _sieve_primes(degree, z)
     return _turan_instance(degree, z, primes, _admissible_histogram(degree, height, primes))
@@ -444,9 +433,9 @@ def pipeline_lower_bound(
     behind the remainders must also equal the number of polynomials the
     A(H) census enumerates.  Violations raise RuntimeError because they
     can only be implementation bugs.  The Turan instance and S_exact come
-    from the same histogram as in build_admissible_instance, by either
-    route; A(H) is always counted by enumeration, and ENUM_LIMIT is
-    checked before any membership test.
+    from the same histogram as in build_admissible_instance, by the same
+    walk, which builds no polynomial object; A(H) is counted by the one
+    enumeration, whose ENUM_LIMIT is checked before any membership test.
     """
     if degree < 3:
         raise ValueError(f"pipeline requires degree >= 3, got {degree}")

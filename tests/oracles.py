@@ -1,7 +1,8 @@
 """Oracles used only by the test suite.
 
 Most of this file is deliberately primitive and self-contained: plain
-tuple enumeration, Pascal's triangle, an odd-only prime sieve, and an
+tuple enumeration, Pascal's triangle, an odd-only prime sieve (behind
+pi(z) and a scan of pi(z) * ln(z) / z at every integer), and an
 unpruned factor-pair search with its own division routine (which also
 yields the first divisor in the package's box order).  None of that
 shares code with the package paths it checks.  The list arithmetic
@@ -240,13 +241,9 @@ def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORAC
     return sum(1 for t in itertools.product(range(cap + 1), repeat=q.parts) if sum(t) == target)
 
 
-def count_primes_crosscheck(z: int) -> int:
-    """pi(z) again, via an odd-only sieve kept independent of primes_below."""
-    if z < 0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    if z < 2:
-        return 0
-    size = (z + 1) // 2  # index i stands for the odd number 2i+1
+def _odd_sieve(z: int) -> bytearray:
+    # Index i stands for the odd number 2i+1, marked 1 iff it is prime (z >= 2).
+    size = (z + 1) // 2
     odd = bytearray([1]) * size
     odd[0] = 0
     i = 1
@@ -256,7 +253,34 @@ def count_primes_crosscheck(z: int) -> int:
             start = (step * step) // 2
             odd[start::step] = bytearray(len(odd[start::step]))
         i += 1
-    return 1 + sum(odd)
+    return odd
+
+
+def count_primes_crosscheck(z: int) -> int:
+    """pi(z) again, via an odd-only sieve kept independent of primes_below."""
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z}")
+    if z < 2:
+        return 0
+    return 1 + sum(_odd_sieve(z))
+
+
+def chebyshev_scan(z_max: int, start: int = 17) -> tuple[float | None, float | None]:
+    """(min, max) of pi(z) * ln(z) / z over every integer z in [start, z_max].
+
+    One z at a time over the odd-only sieve, with no use of where the
+    extremes can sit; (None, None) when the range is empty.
+    """
+    odd = _odd_sieve(max(z_max, 2))
+    low = high = None
+    count = 0
+    for z in range(2, z_max + 1):
+        count += z == 2 or z & 1 and odd[z // 2]
+        if z >= start:
+            ratio = count * math.log(z) / z
+            low = ratio if low is None else min(low, ratio)
+            high = ratio if high is None else max(high, ratio)
+    return low, high
 
 
 def multiply_monic(g: MonicIntPolynomial, h: MonicIntPolynomial) -> MonicIntPolynomial:

@@ -367,6 +367,10 @@ def test_feasibility_errors_exit_3(run_cli):
         # The first octic of height 5040 keeps factor degrees 2, 3 and 4 at
         # every prime; its candidates of degree <= 3 already number 6,504,157,436.
         (["irr-count", "--degree", "8", "--height", "5040"], "search space exceeded"),
+        # The 22 admissible polynomials of height 21! have a_0 near 21!,
+        # whose divisors take about 7e9 trial divisions to list.
+        (["irr-count", "--degree", "22", "--height", "51090942171709440000"],
+         "search space exceeded: 7147792818 trial divisions"),
         # 142,506 sextics, each tested at p = 7 and 11: fewer than the 77^5
         # residue vectors mod 77.
         (["sieve", "--degree", "6", "--height", "124", "--z", "12"], "sieve work too large"),

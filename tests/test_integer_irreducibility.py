@@ -155,6 +155,18 @@ def test_the_divisor_listing_runs_to_sqrt_a0_only():
     assert time.process_time() - start < 2
 
 
+def test_the_divisor_listing_is_bounded_before_it_starts():
+    # x^2 + x + 10^20 + 1 leaves degree 1 open, and listing the divisors of
+    # its a_0 takes 10^10 trial divisions (10^16 + 1 took 3.4 s), past
+    # SEARCH_LIMIT: it is refused before the first one.
+    f = MonicIntPolynomial(2, (10**20 + 1, 1))
+    start = time.process_time()
+    message = "search space exceeded: 10000000000 trial divisions of a_0 exceed limit"
+    with pytest.raises(FeasibilityError, match=message):
+        is_irreducible_over_z(f)
+    assert time.process_time() - start < 1
+
+
 def test_witness_type_validation():
     with pytest.raises(ValueError):
         FactorizationWitness("maybe")

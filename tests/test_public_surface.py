@@ -11,6 +11,7 @@ ORACLE_NAMES = (
     "DEFAULT_ORACLE_LIMIT",
     "brute_force_compositions",
     "brute_mobius",
+    "chebyshev_scan",
     "count_irreducibles_exhaustive",
     "count_irreducibles_in_class",
     "count_primes_crosscheck",
@@ -37,7 +38,8 @@ ORACLE_NAMES = (
 # degrees instead of dividing them out; and the box builder and its
 # separate candidate count, folded into _bounded_factor_search, which
 # builds and counts the box of the open factor degrees only; and the
-# residue route's passes mod each p <= n, which only found A_p empty.
+# residue route's passes mod each p <= n, which only found A_p empty;
+# and the per-polynomial membership pass, now the residue walk mod H + 1.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -48,6 +50,7 @@ DELETED_NAMES = (
     "_divisor_degrees",
     "_divmod",
     "_first_factor",
+    "_membership_histogram",
     "_mignotte_box",
     "_mod",
     "_monic",

@@ -23,7 +23,7 @@ from admissible.sieve import (
     turan_upper_bound,
 )
 
-from oracles import brute_sieve_counts, count_primes_crosscheck
+from oracles import brute_sieve_counts, chebyshev_scan, count_primes_crosscheck
 
 
 def test_primes_below_anchors():
@@ -262,6 +262,16 @@ def test_chebyshev_audit():
         audit_chebyshev(2)
 
 
+def test_chebyshev_audit_matches_a_scan_of_every_integer():
+    # The audit evaluates the ends of each prime gap only; the oracle
+    # evaluates every z, on a sieve of its own.
+    for z_max in (3, 16, 17, 18, 100, 2000, 10**5):
+        audit = audit_chebyshev(z_max)
+        assert (audit.ratio_min, audit.ratio_max) == chebyshev_scan(z_max), z_max
+        assert all(s.prime_count == count_primes_crosscheck(s.z) for s in audit.samples)
+        assert audit.samples[-1].z == z_max
+
+
 def test_chebyshev_band_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(sieve, "CHEBYSHEV_BAND", (1.2, 1.3))
     audit = audit_chebyshev(2000)
@@ -325,9 +335,9 @@ def test_sieve_data_matches_brute_force_property(n, h, z):
 
 def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
     # Only the primes above the degree are tested.  (4, 24, z=6): 5^3 = 125
-    # residue vectors against 2,600 tests, so the sieve counts by residue
-    # class and only A(H) enumerates.  (4, 24, z=8): 2,600 * 2 = 5,200
-    # tests against 35^3 = 42,875 vectors, so the sieve enumerates too.
+    # residue vectors against 2,600 tests, so the sieve walks mod 5.
+    # (4, 24, z=8): 2,600 * 2 = 5,200 tests against 35^3 = 42,875 vectors,
+    # so it walks mod 25, past the height.  Either way only A(H) enumerates.
     calls = []
 
     def counted_enumerate(*args):
@@ -335,13 +345,16 @@ def test_pipeline_enumerates_the_ambient_set_once_for_the_sieve(monkeypatch):
         return enumerate_admissible(*args)
 
     monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
+    routes = _routes_taken(monkeypatch)
     assert sieve._admissible_histogram(4, 24, primes_below(6)) == {0: 1900, 0b100: 700}
     assert calls == []
     irreducible = count_admissible_irreducible(4, 24)
-    for z, enumerations in ((6, 1), (8, 2)):
+    for z, route in ((6, "residue"), (8, "enumeration")):
         calls.clear()
+        routes.clear()
         report = pipeline_lower_bound(4, 24, z_override=z)
-        assert calls == [(4, 24)] * enumerations, z
+        assert calls == [(4, 24)], z
+        assert routes == {route}, z
         inst = build_admissible_instance(4, 24, z)
         assert {d.p: d.member_count for d in report.per_prime} == inst.member_counts
         assert report.turan_bound == turan_upper_bound(inst)
@@ -425,22 +438,84 @@ _ROUTE_GRIDS = [
 ]
 
 
-def _residue_route(n, h, primes):
-    # The histogram mod the product of the primes above n, each at its bit.
+def _residue_route(n, h, primes, modulus=None):
+    # The walk mod `modulus`, by default the product of the primes above n,
+    # with each of those primes at its bit.
     lookups = [(1 << i, sieve.factor_degree_sets(p, n)) for i, p in enumerate(primes) if p > n]
-    return sieve._slice_histogram(n, h, math.prod(p for p in primes if p > n), lookups)
+    if modulus is None:
+        modulus = math.prod(p for p in primes if p > n)
+    return sieve._slice_histogram(n, h, modulus, lookups)
+
+
+def _reference_histogram(n, h, primes):
+    # {mask: count} one polynomial at a time: bit i is set iff f is
+    # irreducible mod primes[i], every prime below z tested.
+    irreducible = 1 | 1 << n
+    histogram = {}
+    for f in enumerate_admissible(n, h):
+        mask = sum(1 << i for i, p in enumerate(primes)
+                   if sieve.factor_degree_sets(p, n)(f.coeffs) == irreducible)
+        histogram[mask] = histogram.get(mask, 0) + 1
+    return histogram
+
+
+def _routes_taken(monkeypatch):
+    # Records "residue" for each walk mod a modulus up to the height and
+    # "enumeration" for each walk past it.
+    routes = set()
+    real = sieve._slice_histogram
+
+    def counted_slice(degree, height, modulus, lookups):
+        routes.add("residue" if modulus <= height else "enumeration")
+        return real(degree, height, modulus, lookups)
+
+    monkeypatch.setattr(sieve, "_slice_histogram", counted_slice)
+    return routes
 
 
 def test_residue_route_matches_enumeration_on_grids():
-    # Enumeration tests every prime below z, where f(1) = n! keeps each
-    # p <= n from being tested, and both routes agree with the one chosen.
+    # The reference tests every prime below z, where f(1) = n! makes each
+    # p <= n reducible; the walk mod the product of the primes above n,
+    # the walk mod h + 1 and the route the cost model picks all agree.
     for n, heights, levels in _ROUTE_GRIDS:
         for h in heights:
             for z in levels:
                 primes = primes_below(z)
-                by_test = sieve._membership_histogram(enumerate_admissible(n, h), primes)
+                by_test = _reference_histogram(n, h, primes)
                 assert _residue_route(n, h, primes) == by_test, (n, h, z)
+                assert _residue_route(n, h, primes, h + 1) == by_test, (n, h, z)
                 assert sieve._admissible_histogram(n, h, primes) == by_test, (n, h, z)
+
+
+def test_instances_enumerate_nothing_on_either_route(monkeypatch):
+    # Past the height each residue vector is its own lift, so the walk
+    # mod h + 1 stands in for the enumeration and builds no polynomial.
+    def no_enumeration(*args):
+        raise AssertionError("the ambient set was enumerated")
+
+    monkeypatch.setattr(sieve, "enumerate_admissible", no_enumeration)
+    routes = _routes_taken(monkeypatch)
+    for n, heights, levels in _ROUTE_GRIDS:
+        for h in heights:
+            for z in levels:
+                build_admissible_instance(n, h, z)
+    assert routes == {"enumeration", "residue"}
+
+
+def test_the_walk_visits_only_vectors_with_a_lift():
+    # (5, 27) mod 7: the product walk tested all 7^4 = 2,401 residue
+    # vectors; only the 2,075 with entries and sum within reach of a lift
+    # are tested now, for the same histogram.
+    calls = 0
+    lookup = sieve.factor_degree_sets(7, 5)
+
+    def counted(coeffs):
+        nonlocal calls
+        calls += 1
+        return lookup(coeffs)
+
+    assert sieve._slice_histogram(5, 27, 7, [(0b1000, counted)]) == {0: 3631, 0b1000: 1214}
+    assert calls == 2075
 
 
 def test_residue_route_product_pass_at_the_smoke_instance():
@@ -470,29 +545,19 @@ def test_residue_route_makes_one_pass_mod_the_primes_above_the_degree(monkeypatc
     primes = (2, 3, 5, 7)
     histogram = sieve._admissible_histogram(4, 10, primes)
     assert moduli == [35]
-    assert histogram == sieve._membership_histogram(enumerate_admissible(4, 10), primes)
+    assert histogram == _reference_histogram(4, 10, primes)
 
 
 def test_no_lookup_is_built_at_a_prime_up_to_the_degree(monkeypatch):
     # A_p is empty for p <= n, so neither route builds its lookup.
-    real, real_slice = sieve.factor_degree_sets, sieve._slice_histogram
-    routes = set()
+    real = sieve.factor_degree_sets
 
     def checked_lookup(p, degree):
         assert p > degree, (p, degree)
         return real(p, degree)
 
-    def counted_enumerate(degree, height):
-        routes.add("enumeration")
-        return enumerate_admissible(degree, height)
-
-    def counted_slice(*args):
-        routes.add("residue")
-        return real_slice(*args)
-
     monkeypatch.setattr(sieve, "factor_degree_sets", checked_lookup)
-    monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
-    monkeypatch.setattr(sieve, "_slice_histogram", counted_slice)
+    routes = _routes_taken(monkeypatch)
     for n, heights, levels in _ROUTE_GRIDS:
         for h in heights:
             for z in levels:
@@ -546,26 +611,20 @@ def test_residue_route_at_degree_6():
 
 
 def test_cost_model_picks_the_cheaper_route(monkeypatch):
-    routes = []
-    real = enumerate_admissible
-
-    def counted_enumerate(*args):
-        routes.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(sieve, "enumerate_admissible", counted_enumerate)
+    routes = _routes_taken(monkeypatch)
     # (5, 36, 8): 7^4 = 2,401 residue vectors against 574,665 tests, and
     # A_7 alone is non-empty.
     inst = build_admissible_instance(5, 36, 8)
-    assert routes == []
+    assert routes == {"residue"}
     assert inst.ambient_size == 574_665
     assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 130_179}
     assert inst.pair_counts[(7, 7)] == 130_179
     assert all(c == 0 for key, c in inst.pair_counts.items() if key != (7, 7))
     assert turan_upper_bound(inst) == Fraction(37_194_885, 16)
     # (4, 10, 8): 804 * 2 tests against 35^3 vectors.
+    routes.clear()
     inst = build_admissible_instance(4, 10, 8)
-    assert routes == [(4, 10)]
+    assert routes == {"enumeration"}
     assert inst.pair_counts[(5, 7)] == 70
     assert turan_upper_bound(inst) == 2711
 
