@@ -106,7 +106,7 @@ def _envelope(args, results, exact) -> str:
 
 
 def _emit(args, results, exact, rows, columns):
-    """Write `results` as a JSON envelope, or `rows` (dataclasses or dicts) as CSV.
+    """Write `results` as a JSON envelope, or the dataclass `rows` as CSV.
 
     The whole report is rendered before anything is written, so a failure
     leaves stdout empty.  `enumerate`, `irr-count` and `primes` stream
@@ -118,8 +118,7 @@ def _emit(args, results, exact, rows, columns):
         writer.writerow(columns)
         with _rendering():
             for row in rows:
-                record = row if isinstance(row, dict) else _fields(row)
-                writer.writerow([_csv_cell(record[c]) for c in columns])
+                writer.writerow([_csv_cell(getattr(row, c)) for c in columns])
         text = out.getvalue()
     else:
         text = _envelope(args, results, exact)

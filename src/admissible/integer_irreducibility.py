@@ -16,11 +16,10 @@ needed.  The decision runs in three stages:
    term of g must divide a_0 and coefficient i of g is confined to the
    Mignotte factor bound B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the
    search space is finite.  Within it only candidates with g(1) | f(1)
-   and g(-1) | f(-1) are divided out, x + b only with a sign of b that
-   the signs of f's coefficients leave possible, and for m >= 2 the top
-   coefficient is solved from the first condition.  The box is built
-   for the surviving degrees only: if none survives, f is irreducible
-   with no norm, no divisor of a_0 and no division.
+   and g(-1) | f(-1) are divided out, and for m >= 2 the top coefficient
+   is solved from the first condition.  The box is built for the
+   surviving degrees only: if none survives, f is irreducible with no
+   norm, no divisor of a_0 and no division.
 
 The candidates of the degrees stage 2 leaves open, and only those, are
 counted against SEARCH_LIMIT before any is tried, and so are the
@@ -185,18 +184,6 @@ def _candidates(bounds: list[int], divisors: list[int], at_one: int,
                 yield [*head, b, 1]
 
 
-def _linear_signs(full: list[int], divisors: list[int]) -> list[int]:
-    # The b of x + b left by the signs of f's coefficients (a_0 != 0): -b is
-    # a root, f has none >= 0 when its coefficients are all >= 0, and none
-    # <= 0 when those of (-1)^n f(-x) are.  Only non-divisors are dropped.
-    n = len(full) - 1
-    if min(full) >= 0:
-        divisors = [b for b in divisors if b > 0]
-    if min(full[n::-2]) >= 0 >= max(full[n - 1::-2]):
-        divisors = [b for b in divisors if b < 0]
-    return divisors
-
-
 def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> FactorizationWitness:
     # The first divisor of f among the candidates of the degrees m whose bit
     # is set in `degrees`, degree by degree; with none set, no box is built.
@@ -226,8 +213,7 @@ def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> Factorization
     at_one = sum(full)
     at_minus_one = sum(full[::2]) - sum(full[1::2])
     for m, bounds in box:
-        heads = divisors if m > 1 else _linear_signs(full, divisors)
-        for g in _candidates(bounds, heads, at_one, at_minus_one):
+        for g in _candidates(bounds, divisors, at_one, at_minus_one):
             q, r = _divmod_by_monic(full, g)
             if not any(r):
                 return FactorizationWitness("reducible", (

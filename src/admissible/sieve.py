@@ -8,11 +8,14 @@ read off that histogram, exactly.  A_p is empty at every prime p up to
 the degree n, since f(1) = n! makes x - 1 a factor mod p, so only the
 primes above n are tested.  Membership in A_p depends on f mod p only,
 so every Turan instance, the pipeline's included, walks the residue
-vectors with a lift mod one modulus M and counts the lifts of each in
-closed form: M is the product P of those primes when its P^(n-1)
-vectors cost less than testing every polynomial, else H + 1, where the
-walk is the admissible set itself.  The bound is evaluated in exact
-rational arithmetic, so a violation means a bug.
+vectors r mod one modulus M that have a lift, tests each once and counts
+its lifts in closed form.  r has a lift exactly when every r_i <= H and
+n! - 1 - sum(r) = sM with 0 <= s <= n * (H // M) less the number of r_i
+above H mod M; the others are skipped before any test.  M is the
+product P of those primes when its P^(n-1) vectors cost less than
+testing every polynomial, else H + 1, where the walk is the admissible
+set itself.  The bound is evaluated in exact rational arithmetic, so a
+violation means a bug.
 """
 
 from __future__ import annotations
@@ -264,11 +267,14 @@ def _slice_histogram(degree: int, height: int, modulus: int,
     # degrees of r are {0, degree}, and each lookup must depend on f mod
     # `modulus` only.  The lifts a_i = r_i + modulus * q_i in [0, height]
     # have sum(r) = degree! - 1 - modulus * s, s = sum(q), and q_i at most
-    # height // modulus, less one when r_i > height % modulus.  So the walk
-    # takes each s over the vectors of entries up to min(modulus - 1,
-    # height), and vectors with equal (mask, s, number of such r_i) share
-    # one two-cap composition count.  Mod 1 the one vector has all N(H)
-    # lifts; past the height only s = 0 is left, each vector its own lift.
+    # cap = height // modulus, less one for the `short` r_i above
+    # height % modulus.  So r has a lift exactly when its entries are at
+    # most min(modulus - 1, height) and s <= degree * cap - short: the walk
+    # takes each s over the vectors of bounded entries, skips those whose
+    # short entries leave no lift before any lookup, and vectors with equal
+    # (mask, s, short) share one two-cap composition count.  Mod 1 the one
+    # vector has all N(H) lifts; past the height only s = 0 is left, each
+    # vector its own lift.
     target = target_sum(degree)
     irreducible = 1 | 1 << degree
     top = min(modulus - 1, height)
@@ -277,17 +283,19 @@ def _slice_histogram(degree: int, height: int, modulus: int,
     for s in range(max(0, -((degree * top - target) // modulus)),
                    min(target // modulus, degree * cap) + 1):
         for r in _bounded_vectors(degree, target - s * modulus, top):
+            short = sum(c > rest for c in r)
+            if short > degree * cap - s:
+                continue
             mask = 0
             for bit, degrees in lookups:
                 if degrees(r) == irreducible:
                     mask |= bit
-            key = (mask, s, sum(c > rest for c in r))
+            key = (mask, s, short)
             groups[key] = groups.get(key, 0) + 1
     histogram: dict[int, int] = {}
     for (mask, s, short), vectors in groups.items():
         lifts = count_two_cap_compositions(degree, s, cap, short)
-        if lifts:
-            histogram[mask] = histogram.get(mask, 0) + vectors * lifts
+        histogram[mask] = histogram.get(mask, 0) + vectors * lifts
     return histogram
 
 
@@ -339,7 +347,8 @@ def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance
     Densities are all 1/degree; member and pairwise counts are exact.
     A_p is empty at each prime p up to the degree, where f(1) = degree!
     makes x - 1 a factor, so only the primes above the degree are tested,
-    in one walk over the residue vectors with a lift mod M (see
+    in one walk over the residue vectors mod M that have a lift in
+    [0, H]; the others are skipped before any test (see
     _slice_histogram).  M is the product P of those primes when its
     P^(degree-1) vectors cost less than N(H) tests at each prime (P = 1
     with no such prime: one vector, N(H) lifts), else H + 1, where the

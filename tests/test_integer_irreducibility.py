@@ -243,11 +243,9 @@ def test_degree_sets_leave_13_searches_at_a_5_27(monkeypatch):
 
 
 def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
-    # At (5, 27) the degree sets rule out x + b for most quintics, and the
-    # signs of the coefficients rule out b < 0, so the box search makes
-    # 3,905 long divisions; without the sign rule it made 5,493, and
-    # trying every linear candidate made 23,862.  The mod-p lookups stay
-    # at 16,638.  The
+    # At (5, 27) the degree sets rule out x + b for most quintics, so the
+    # box search makes 5,493 long divisions, where trying every linear
+    # candidate made 23,862.  The mod-p lookups stay at 16,638.  The
     # 1,494 quintics with no open degree list no divisors of a_0: the
     # other boxes and the g(1) values of the 13 quadratic searches make
     # 3,364 listings, where building every box made 4,858.
@@ -261,34 +259,19 @@ def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
 
         monkeypatch.setattr(integer_irreducibility, name, counted)
     assert count_admissible_irreducible(5, 27) == 4844
-    assert calls == {"_divmod_by_monic": 3905, "_irreducible_mod": 16638, "_signed_divisors": 3364}
+    assert calls == {"_divmod_by_monic": 5493, "_irreducible_mod": 16638, "_signed_divisors": 3364}
 
 
-def test_linear_candidates_skip_the_signs_f_rules_out(monkeypatch):
-    # x^3 - 2x^2 + x - 2 = (x - 2)(x^2 + 1): (-1)^3 f(-x) = x^3 + 2x^2 + x + 2
-    # has every coefficient >= 0, so f has no root <= 0 and no x + b with
-    # b > 0 is divided.  x^3 + 2x^2 + x + 2 = (x + 2)(x^2 + 1) is the mirror
-    # image.
-    divided = []
-    original = integer_irreducibility._divmod_by_monic
-
-    def recorded(f, g):
-        divided.append(g[0])
-        return original(f, g)
-
-    monkeypatch.setattr(integer_irreducibility, "_divmod_by_monic", recorded)
+def test_linear_candidates_skip_the_signs_f_rules_out():
+    # x^3 - 2x^2 + x - 2 = (x - 2)(x^2 + 1), and its mirror image
+    # x^3 + 2x^2 + x + 2 = (x + 2)(x^2 + 1): each finds its own linear
+    # factor, not the other's.  x^2 + 3 has no real root, so no x + b
+    # divides it.
     w = is_irreducible_over_z(MonicIntPolynomial(3, (-2, 1, -2)))
     assert [g.text() for g in w.factors] == ["x - 2", "x^2 + 1"]
-    assert divided and all(b < 0 for b in divided)
-    divided.clear()
     w = is_irreducible_over_z(MonicIntPolynomial(3, (2, 1, 2)))
     assert [g.text() for g in w.factors] == ["x + 2", "x^2 + 1"]
-    assert divided and all(b > 0 for b in divided)
-    # Both rules hold for x^2 + 3, which has no real root: x + 3 passes the
-    # g(1) | f(1) and g(-1) | f(-1) filters but is not divided.
-    divided.clear()
     assert is_irreducible_over_z(MonicIntPolynomial(2, (3, 0))).irreducible
-    assert divided == []
 
 
 def test_verdicts_agree_with_sympy():

@@ -39,7 +39,8 @@ ORACLE_NAMES = (
 # separate candidate count, folded into _bounded_factor_search, which
 # builds and counts the box of the open factor degrees only; and the
 # residue route's passes mod each p <= n, which only found A_p empty;
-# and the per-polynomial membership pass, now the residue walk mod H + 1.
+# and the per-polynomial membership pass, now the residue walk mod H + 1;
+# and the sign rule on x + b, which saved long divisions but no time.
 DELETED_NAMES = (
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
@@ -50,6 +51,7 @@ DELETED_NAMES = (
     "_divisor_degrees",
     "_divmod",
     "_first_factor",
+    "_linear_signs",
     "_membership_histogram",
     "_mignotte_box",
     "_mod",

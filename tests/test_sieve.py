@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -118,6 +119,31 @@ def test_instance_validation():
             member_counts={2: 2, 3: 2},
             pair_counts={(2, 2): 2, (3, 3): 2},  # missing (2, 3)
         )
+
+
+_VALID_INSTANCE = dict(
+    ambient_size=5,
+    z=4,
+    primes=(2, 3),
+    densities={2: Fraction(1, 2), 3: Fraction(1, 2)},
+    member_counts={2: 2, 3: 2},
+    pair_counts={(2, 2): 2, (3, 3): 2, (2, 3): 1},
+)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"ambient_size": -1}, "ambient_size must be >= 0"),
+    ({"densities": {2: Fraction(1, 2)}}, "missing density or member count for prime 3"),
+    ({"pair_counts": {**_VALID_INSTANCE["pair_counts"], (3, 2): 1}}, "bad pair key (3, 2)"),
+    ({"pair_counts": {**_VALID_INSTANCE["pair_counts"], (2, 2): 1}},
+     "pair count (2, 2) must equal the member count"),
+    ({"pair_counts": {**_VALID_INSTANCE["pair_counts"], (2, 3): 3}},
+     "pair count (2, 3) exceeds a member count"),
+])
+def test_instance_validation_messages(change, message):
+    TuranInstance(**_VALID_INSTANCE)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TuranInstance(**{**_VALID_INSTANCE, **change})
 
 
 def test_build_instance_anchors():
@@ -503,19 +529,24 @@ def test_instances_enumerate_nothing_on_either_route(monkeypatch):
 
 
 def test_the_walk_visits_only_vectors_with_a_lift():
-    # (5, 27) mod 7: the product walk tested all 7^4 = 2,401 residue
-    # vectors; only the 2,075 with entries and sum within reach of a lift
-    # are tested now, for the same histogram.
-    calls = 0
-    lookup = sieve.factor_degree_sets(7, 5)
+    # Mod 7 a residue vector r has a lift when its entries are at most
+    # min(6, h) and its lift sum s is at most n * (h // 7) less one per
+    # r_i above h % 7.  (5, 27): of the 7^4 = 2,401 vectors only 2,075 are
+    # tested.  (5, 23): 5 * 23 < 5! - 1, so no quintic and no vector has a
+    # lift.  (6, 123): 14,084 of the 16,807 vectors, each a direct test at
+    # the untabled (7, 6).
+    for n, h, tested in ((5, 27, 2075), (5, 23, 0), (6, 123, 14_084)):
+        calls = 0
+        lookup = sieve.factor_degree_sets(7, n)
 
-    def counted(coeffs):
-        nonlocal calls
-        calls += 1
-        return lookup(coeffs)
+        def counted(coeffs):
+            nonlocal calls
+            calls += 1
+            return lookup(coeffs)
 
-    assert sieve._slice_histogram(5, 27, 7, [(0b1000, counted)]) == {0: 3631, 0b1000: 1214}
-    assert calls == 2075
+        histogram = sieve._slice_histogram(n, h, 7, [(1, counted)])
+        assert histogram == _reference_histogram(n, h, (7,)), (n, h)
+        assert calls == tested, (n, h)
 
 
 def test_residue_route_product_pass_at_the_smoke_instance():
@@ -603,8 +634,10 @@ def test_an_instance_with_no_primes_below_z_is_counted_not_enumerated(monkeypatc
 
 
 def test_residue_route_at_degree_6():
-    # 16,807 distinct-degree factorizations mod 7.  Enumeration, with 42,504
-    # of them (past DIRECT_TEST_LIMIT, and seconds more), gives the same 8,495.
+    # 14,084 distinct-degree factorizations mod 7, one per residue vector
+    # with a lift (DIRECT_TEST_LIMIT prices the 16,807 of all vectors).
+    # Enumeration, with 42,504 of them (past DIRECT_TEST_LIMIT, and seconds
+    # more), gives the same 8,495.
     inst = build_admissible_instance(6, 123, 8)
     assert inst.ambient_size == 42_504
     assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 8495}
