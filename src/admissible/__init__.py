@@ -9,7 +9,7 @@ count in exact rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .combinatorics import CompositionQuery, binomial, count_bounded_compositions
+from .combinatorics import binomial, count_bounded_compositions
 from .errors import FeasibilityError
 from .finite_field import audit_irreducible_counts, count_irreducibles_exact
 from .integer_irreducibility import (
@@ -42,7 +42,6 @@ from .sieve import (
 __all__ = [
     "__version__",
     "BoundsAuditReport",
-    "CompositionQuery",
     "FactorizationWitness",
     "FeasibilityError",
     "MonicIntPolynomial",

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import json
 import sys
@@ -109,17 +107,16 @@ def _emit(args, results, exact, rows, columns):
     """Write `results` as a JSON envelope, or the dataclass `rows` as CSV.
 
     The whole report is rendered before anything is written, so a failure
-    leaves stdout empty.  `enumerate`, `irr-count` and `primes` stream
-    their rows through `_stream` instead.
+    leaves stdout empty.  No CSV cell holds a comma, a quote or a
+    newline, so cells are joined with commas and none is quoted.
+    `enumerate`, `irr-count` and `primes` stream their rows through
+    `_stream` instead.
     """
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
         with _rendering():
-            for row in rows:
-                writer.writerow([_csv_cell(getattr(row, c)) for c in columns])
-        text = out.getvalue()
+            text = "".join(",".join(_csv_cell(getattr(row, c)) for c in columns) + "\n"
+                           for row in rows)
+        text = ",".join(columns) + "\n" + text
     else:
         text = _envelope(args, results, exact)
     sys.stdout.write(text)

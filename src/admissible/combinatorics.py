@@ -4,52 +4,24 @@
 with every part capped at H, the counting problem behind the
 admissible-polynomial census.  `count_two_cap_compositions` caps some
 parts one lower, which counts the integer lifts of a residue vector
-mod p.  Every count is a plain Python int, so
-nothing here can overflow or pass through floating point.
+mod p.  Both take the number of parts, the target and the cap as plain
+ints, and every count is a plain Python int, so nothing here can
+overflow or pass through floating point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class CompositionQuery:
-    """An ordered-sum counting problem: `parts` parts adding up to `target`.
-
-    `cap` restricts every part to [0, cap].
-    """
-
-    parts: int
-    target: int
-    cap: int
-
-    def __post_init__(self):
-        if self.parts < 1:
-            raise ValueError(f"parts must be >= 1, got {self.parts}")
-        if self.target < 0:
-            raise ValueError(f"target must be >= 0, got {self.target}")
-        if self.cap < 0:
-            raise ValueError(f"cap must be >= 0, got {self.cap}")
-
-
-def _choose(n: int, k: int) -> int:
-    # Binomial with the "zero outside the triangle" convention; negative n
-    # (possible in inclusion-exclusion terms) also yields 0.
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0, with C(n, k) = 0 when k < 0 or k > n."""
     if n < 0:
         raise ValueError(f"binomial expects n >= 0, got {n}")
-    return _choose(n, k)
+    return math.comb(n, k) if k >= 0 else 0
 
 
-def count_bounded_compositions(q: CompositionQuery) -> int:
+def count_bounded_compositions(parts: int, target: int, cap: int) -> int:
     """Exact number of tuples (a_1, ..., a_parts) with sum `target` and 0 <= a_i <= cap.
 
     The two-cap count with no short parts: inclusion-exclusion on the
@@ -57,7 +29,13 @@ def count_bounded_compositions(q: CompositionQuery) -> int:
 
         sum_j (-1)^j C(n, j) C(S - j(H+1) + n - 1, n - 1).
     """
-    return count_two_cap_compositions(q.parts, q.target, q.cap, 0)
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    return count_two_cap_compositions(parts, target, cap, 0)
 
 
 def count_two_cap_compositions(parts: int, target: int, cap: int, short: int) -> int:
@@ -89,6 +67,6 @@ def count_two_cap_compositions(parts: int, target: int, cap: int, short: int) ->
             rem = S - i * H - j * (H + 1)
             if rem < 0:
                 break
-            term = _choose(k, i) * _choose(n - k, j) * _choose(rem + n - 1, n - 1)
+            term = math.comb(k, i) * math.comb(n - k, j) * math.comb(rem + n - 1, n - 1)
             total += -term if (i + j) & 1 else term
     return total

@@ -125,8 +125,6 @@ def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     # a * b mod the monic m, for a and b reduced mod m: a schoolbook
     # product, then a top-down reduction that cancels each leading
     # coefficient with one multiple of m, so it needs no inverse.
-    if not a or not b:
-        return []
     c = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -1,7 +1,9 @@
 """Exact irreducibility over Z for monic integer polynomials.
 
-Every verdict is checkable: a reducible answer always carries a monic
-factor pair (g, h) with g*h = f.  Monic polynomials are primitive, so
+Every verdict is checkable: it is a FactorizationWitness whose one
+field, `factors`, is None when f is irreducible and otherwise a monic
+factor pair (g, h) with g*h = f, so the verdict is read off the pair
+and cannot contradict it.  Monic polynomials are primitive, so
 irreducible over Z and over Q coincide and no content bookkeeping is
 needed.  The decision runs in three stages:
 
@@ -56,26 +58,26 @@ SEARCH_LIMIT = 10**9
 
 @dataclass(frozen=True)
 class FactorizationWitness:
-    """Verdict plus, when reducible, a monic factor pair with g*h = f."""
+    """A verdict over Z: `factors` is None when f is irreducible, and
+    otherwise a monic factor pair (g, h) with g*h = f and
+    1 <= deg g <= deg h.  `irreducible` and `status` are read off it.
+    """
 
-    status: str
     factors: tuple[MonicIntPolynomial, MonicIntPolynomial] | None = None
 
     def __post_init__(self):
-        if self.status not in ("irreducible", "reducible"):
-            raise ValueError(f"unknown status: {self.status!r}")
-        if self.status == "reducible":
-            if self.factors is None:
-                raise ValueError("reducible verdict needs a factor pair")
+        if self.factors is not None:
             g, h = self.factors
             if not 1 <= g.degree <= h.degree:
                 raise ValueError("factors must satisfy 1 <= deg g <= deg h")
-        elif self.factors is not None:
-            raise ValueError("irreducible verdict carries no factors")
 
     @property
     def irreducible(self) -> bool:
-        return self.status == "irreducible"
+        return self.factors is None
+
+    @property
+    def status(self) -> str:
+        return "irreducible" if self.factors is None else "reducible"
 
 
 def _divmod_by_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
@@ -130,11 +132,11 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     """
     n = f.degree
     if n == 1:
-        return FactorizationWitness("irreducible")
+        return FactorizationWitness()
     if f.coeffs[0] == 0:
         g = MonicIntPolynomial(1, (0,))
         h = MonicIntPolynomial(n - 1, f.coeffs[1:])
-        return FactorizationWitness("reducible", (g, h))
+        return FactorizationWitness((g, h))
     return _bounded_factor_search(f, _open_degrees(f))
 
 
@@ -194,7 +196,7 @@ def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> Factorization
     # checked against SEARCH_LIMIT first, then the candidates, all before
     # any is tried.
     if not degrees:
-        return FactorizationWitness("irreducible")
+        return FactorizationWitness()
     full = list(f.all_coefficients())
     if (trials := math.isqrt(abs(full[0]))) > SEARCH_LIMIT:
         raise FeasibilityError(f"search space exceeded: {trials} trial divisions of a_0 "
@@ -216,11 +218,11 @@ def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> Factorization
         for g in _candidates(bounds, divisors, at_one, at_minus_one):
             q, r = _divmod_by_monic(full, g)
             if not any(r):
-                return FactorizationWitness("reducible", (
+                return FactorizationWitness((
                     MonicIntPolynomial(m, tuple(g[:-1])),
                     MonicIntPolynomial(f.degree - m, tuple(q[:-1])),
                 ))
-    return FactorizationWitness("irreducible")
+    return FactorizationWitness()
 
 
 def admissible_witnesses(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import CompositionQuery, binomial, count_bounded_compositions
+from .combinatorics import binomial, count_bounded_compositions
 from .errors import FeasibilityError
 
 # Most polynomials one enumeration may yield; the exact count is checked
@@ -120,9 +120,7 @@ def target_sum(degree: int) -> int:
 
 def count_admissible_exact(degree: int, height: int) -> int:
     """Exact number of admissible monic polynomials with 0 <= a_i <= height."""
-    return count_bounded_compositions(
-        CompositionQuery(parts=degree, target=target_sum(degree), cap=height)
-    )
+    return count_bounded_compositions(degree, target_sum(degree), height)
 
 
 def _bounded_vectors(parts: int, target: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -39,7 +39,6 @@ import json
 import math
 
 from admissible import __version__
-from admissible.combinatorics import CompositionQuery
 from admissible.errors import FeasibilityError
 from admissible.finite_field import _gcd, _trim, is_prime
 from admissible.integer_irreducibility import admissible_witnesses
@@ -223,7 +222,8 @@ def first_box_divisor(full: list[int]) -> tuple[int, ...] | None:
     return None
 
 
-def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORACLE_LIMIT) -> int:
+def brute_force_compositions(parts: int, target: int, cap: int,
+                             max_oracle: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Independent oracle: walk every capped tuple and count the matches.
 
     Intentionally does no pruning, so it can disagree with
@@ -231,14 +231,12 @@ def brute_force_compositions(q: CompositionQuery, max_oracle: int = DEFAULT_ORAC
     Raises FeasibilityError ("oracle too large") when the tuple space
     (cap+1)^parts exceeds `max_oracle`.
     """
-    cap = q.cap
-    space = (cap + 1) ** q.parts
+    space = (cap + 1) ** parts
     if space > max_oracle:
         raise FeasibilityError(
-            f"oracle too large: ({cap}+1)^{q.parts} = {space} exceeds limit {max_oracle}"
+            f"oracle too large: ({cap}+1)^{parts} = {space} exceeds limit {max_oracle}"
         )
-    target = q.target
-    return sum(1 for t in itertools.product(range(cap + 1), repeat=q.parts) if sum(t) == target)
+    return sum(1 for t in itertools.product(range(cap + 1), repeat=parts) if sum(t) == target)
 
 
 def _odd_sieve(z: int) -> bytearray:

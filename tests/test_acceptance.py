@@ -8,7 +8,7 @@ were computed with the in-repo brute-force oracles before being frozen.
 import math
 import time
 
-from admissible.combinatorics import CompositionQuery, count_bounded_compositions
+from admissible.combinatorics import count_bounded_compositions
 from admissible.finite_field import count_irreducibles_exact
 from admissible.integer_irreducibility import count_admissible_irreducible
 from admissible.polynomials import (
@@ -43,8 +43,8 @@ def test_criterion_1_composition_oracle_equivalence():
     for parts in range(1, 6):
         for target in range(0, 31):
             for cap in range(0, 13):
-                q = CompositionQuery(parts, target, cap)
-                assert count_bounded_compositions(q) == brute_force_compositions(q), q
+                q = (parts, target, cap)
+                assert count_bounded_compositions(*q) == brute_force_compositions(*q), q
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"grid took {elapsed:.1f}s"
     _report(1, "composition-count oracle equivalence")
@@ -159,10 +159,10 @@ def test_criterion_8_performance():
     # The closed form must confirm the census size before the heavy run.
     # C(123, 4) = 9,078,630 monic admissible quintics at height 120.
     best = min(
-        _timed(lambda: count_bounded_compositions(CompositionQuery(5, 119, 120)))[0]
+        _timed(lambda: count_bounded_compositions(5, 119, 120))[0]
         for _ in range(3)
     )
-    value = count_bounded_compositions(CompositionQuery(5, 119, 120))
+    value = count_bounded_compositions(5, 119, 120)
     assert value == math.comb(123, 4) == 9078630
     assert best < 0.010, f"counting took {best * 1000:.3f} ms"
 

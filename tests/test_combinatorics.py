@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissible.combinatorics import (
-    CompositionQuery,
     binomial,
     count_bounded_compositions,
     count_two_cap_compositions,
@@ -48,36 +47,36 @@ def test_pascal_rule_full_grid():
 
 def test_nonneg_composition_anchors():
     # A cap at or above the target caps nothing: C(target + parts - 1, parts - 1).
-    assert count_bounded_compositions(CompositionQuery(3, 2, 2)) == 6
-    assert count_bounded_compositions(CompositionQuery(1, 7, 7)) == 1
-    assert count_bounded_compositions(CompositionQuery(3, 5, 9)) == 21
+    assert count_bounded_compositions(3, 2, 2) == 6
+    assert count_bounded_compositions(1, 7, 7) == 1
+    assert count_bounded_compositions(3, 5, 9) == 21
 
 
 def test_nonneg_composition_matches_enumeration():
     for parts in range(1, 4):
         for target in range(0, 9):
             expected = brute_count_tuples(parts, target, target)
-            assert count_bounded_compositions(CompositionQuery(parts, target, target)) == expected
+            assert count_bounded_compositions(parts, target, target) == expected
 
 
 def test_bounded_composition_anchors():
-    assert count_bounded_compositions(CompositionQuery(3, 5, 2)) == 3
-    assert count_bounded_compositions(CompositionQuery(3, 5, 5)) == 21
-    assert count_bounded_compositions(CompositionQuery(1, 7, 5)) == 0
+    assert count_bounded_compositions(3, 5, 2) == 3
+    assert count_bounded_compositions(3, 5, 5) == 21
+    assert count_bounded_compositions(1, 7, 5) == 0
     # inclusion-exclusion: C(26,3) - 4 C(15,3) + 6 C(4,3)
-    assert count_bounded_compositions(CompositionQuery(4, 23, 10)) == 804
+    assert count_bounded_compositions(4, 23, 10) == 804
     assert brute_count_tuples(4, 23, 10) == 804
 
 
 def test_brute_force_anchors():
-    assert brute_force_compositions(CompositionQuery(3, 5, 2)) == 3
-    assert brute_force_compositions(CompositionQuery(2, 0, 0)) == 1
-    assert brute_force_compositions(CompositionQuery(3, 10, 2)) == 0
+    assert brute_force_compositions(3, 5, 2) == 3
+    assert brute_force_compositions(2, 0, 0) == 1
+    assert brute_force_compositions(3, 10, 2) == 0
 
 
 def test_brute_force_respects_oracle_limit():
     with pytest.raises(FeasibilityError, match="oracle too large"):
-        brute_force_compositions(CompositionQuery(10, 5, 9), max_oracle=10**6)
+        brute_force_compositions(10, 5, 9, max_oracle=10**6)
 
 
 @given(
@@ -87,8 +86,8 @@ def test_brute_force_respects_oracle_limit():
 )
 @settings(max_examples=120, deadline=None)
 def test_bounded_equals_brute_force(parts, target, cap):
-    q = CompositionQuery(parts, target, cap)
-    assert count_bounded_compositions(q) == brute_force_compositions(q)
+    assert count_bounded_compositions(parts, target, cap) == brute_force_compositions(
+        parts, target, cap)
 
 
 @given(parts=st.integers(1, 6), target=st.integers(0, 40), cap=st.integers(0, 40))
@@ -96,7 +95,7 @@ def test_bounded_equals_brute_force(parts, target, cap):
 def test_cap_beyond_target_is_unbounded(parts, target, cap):
     if cap < target:
         cap += target  # force cap >= target
-    bounded = count_bounded_compositions(CompositionQuery(parts, target, cap))
+    bounded = count_bounded_compositions(parts, target, cap)
     assert bounded == math.comb(target + parts - 1, parts - 1)
 
 
@@ -104,8 +103,8 @@ def test_cap_beyond_target_is_unbounded(parts, target, cap):
 @settings(max_examples=150)
 def test_complement_symmetry(parts, s, cap):
     s = min(s, parts * cap)  # keep 0 <= s <= parts*cap
-    left = count_bounded_compositions(CompositionQuery(parts, s, cap))
-    right = count_bounded_compositions(CompositionQuery(parts, parts * cap - s, cap))
+    left = count_bounded_compositions(parts, s, cap)
+    right = count_bounded_compositions(parts, parts * cap - s, cap)
     assert left == right
 
 
@@ -115,17 +114,24 @@ def test_complement_symmetry(parts, s, cap):
 )
 def test_query_validation(parts, target, cap):
     with pytest.raises(ValueError):
-        CompositionQuery(parts, target, cap)
+        count_bounded_compositions(parts, target, cap)
 
 
 def test_query_cap_message():
     with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
-        CompositionQuery(3, 5, -1)
+        count_bounded_compositions(3, 5, -1)
+
+
+def test_query_messages_follow_argument_order():
+    with pytest.raises(ValueError, match=r"^parts must be >= 1, got 0$"):
+        count_bounded_compositions(0, -1, -1)
+    with pytest.raises(ValueError, match=r"^target must be >= 0, got -1$"):
+        count_bounded_compositions(1, -1, -1)
 
 
 def test_query_cap_is_required():
     with pytest.raises(TypeError):
-        CompositionQuery(4, 9)
+        count_bounded_compositions(4, 9)
 
 
 def test_two_cap_count_matches_per_part_caps():

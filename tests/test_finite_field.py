@@ -16,6 +16,7 @@ from admissible.finite_field import (
     _gcd,
     _is_irreducible_raw,
     _mulmod,
+    _trim,
     audit_irreducible_counts,
     count_irreducibles_exact,
     factor_degree_sets,
@@ -141,8 +142,10 @@ def _reduced(p, m):
 
 @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2)])
 def test_mulmod_matches_product_then_remainder(p, m):
-    # Every monic modulus of degree m and every pair of residues mod it.
+    # Every monic modulus of degree m and every pair of residues mod it,
+    # each residue padded to m coefficients and trimmed, [] included.
     residues = _reduced(p, m)
+    residues += [_trim(list(r)) for r in residues if not r[-1]]
     for tail in itertools.product(range(p), repeat=m):
         modulus = list(tail) + [1]
         for a in residues:

@@ -168,18 +168,13 @@ def test_the_divisor_listing_is_bounded_before_it_starts():
 
 
 def test_witness_type_validation():
-    with pytest.raises(ValueError):
-        FactorizationWitness("maybe")
-    with pytest.raises(ValueError):
-        FactorizationWitness("reducible")  # missing factors
-    with pytest.raises(ValueError):
-        FactorizationWitness(
-            "irreducible",
-            (MonicIntPolynomial(1, (0,)), MonicIntPolynomial(1, (1,))),
-        )
+    assert FactorizationWitness().status == "irreducible"
+    assert FactorizationWitness().irreducible
+    reducible = FactorizationWitness((MonicIntPolynomial(1, (1,)), MonicIntPolynomial(1, (1,))))
+    assert reducible.status == "reducible"
+    assert not reducible.irreducible
     with pytest.raises(ValueError):
         FactorizationWitness(
-            "reducible",
             (MonicIntPolynomial(2, (1, 1)), MonicIntPolynomial(1, (1,))),  # deg g > deg h
         )
 

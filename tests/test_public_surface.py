@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,14 +42,17 @@ ORACLE_NAMES = (
 # builds and counts the box of the open factor degrees only; and the
 # residue route's passes mod each p <= n, which only found A_p empty;
 # and the per-polynomial membership pass, now the residue walk mod H + 1;
-# and the sign rule on x + b, which saved long divisions but no time.
+# and the sign rule on x + b, which saved long divisions but no time;
+# and a wrapper of count_bounded_compositions' integers and a second binomial.
 DELETED_NAMES = (
+    "CompositionQuery",
     "DEFAULT_ENUM_LIMIT",
     "DEFAULT_SEARCH_LIMIT",
     "PROBE_PRIMES",
     "PrimeFieldPolynomial",
     "RABIN_TEST_LIMIT",
     "_check_search_space",
+    "_choose",
     "_divisor_degrees",
     "_divmod",
     "_first_factor",
@@ -110,3 +115,24 @@ def test_deleted_names_stay_deleted(module):
     for name in DELETED_NAMES:
         with pytest.raises(ImportError):
             exec(f"from {module.__name__} import {name}", {})
+
+
+def _imported_names(tree):
+    # Each name an import statement binds, except `from __future__`.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_package_modules_use_every_import():
+    # __init__ imports to re-export, so it is left out.
+    unused = []
+    for path in sorted(Path(admissible.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in _imported_names(tree) if name not in used]
+    assert not unused
