@@ -2,20 +2,20 @@
 
 The sifting sets here are "irreducible mod p": an admissible polynomial
 belongs to A_p when its reduction mod p is irreducible.  The polynomials
-are counted by their bitmask of A_p memberships over the primes below z;
-member counts, pairwise intersection counts and the sifted count are all
-read off that histogram, exactly.  A_p is empty at every prime p up to
-the degree n, since f(1) = n! makes x - 1 a factor mod p, so only the
-primes above n are tested.  Membership in A_p depends on f mod p only,
-so every Turan instance, the pipeline's included, walks the residue
-vectors r mod one modulus M that have a lift, tests each once and counts
-its lifts in closed form.  r has a lift exactly when every r_i <= H and
-n! - 1 - sum(r) = sM with 0 <= s <= n * (H // M) less the number of r_i
-above H mod M; the others are skipped before any test.  M is the
-product P of those primes when its P^(n-1) vectors cost less than
-testing every polynomial, else H + 1, where the walk is the admissible
-set itself.  The bound is evaluated in exact rational arithmetic, so a
-violation means a bug.
+are counted by their bitmask of A_p memberships over the primes below z,
+and a Turan instance is that histogram: |A|, |A_p|, |A_p intersect A_q|
+and the sifted count (mask 0) are all read off it, exactly.  A_p is
+empty at every prime p up to the degree n, since f(1) = n! makes x - 1 a
+factor mod p, so only the primes above n are tested.  Membership in A_p
+depends on f mod p only, so every Turan instance, the pipeline's
+included, walks the residue vectors r mod one modulus M that have a
+lift, tests each once and counts its lifts in closed form.  r has a lift
+exactly when every r_i <= H and n! - 1 - sum(r) = sM with
+0 <= s <= n * (H // M) less the number of r_i above H mod M; the others
+are skipped before any test.  M is the product P of those primes when its P^(n-1)
+vectors cost less than testing every polynomial, else H + 1, where the
+walk is the admissible set itself.  The bound is evaluated in exact
+rational arithmetic, so a violation means a bug.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .combinatorics import count_two_cap_compositions
@@ -152,47 +153,55 @@ def audit_chebyshev(z_max: int) -> ChebyshevAudit:
 
 @dataclass(frozen=True)
 class TuranInstance:
-    """A fully materialized sifting problem with exact per-prime data.
+    """A sifting problem given by its membership histogram.
 
-    member_counts[p] is |A_p|; pair_counts[(p, q)] with p <= q is
-    |A_p intersect A_q| (for p == q that is |A_p| itself).  Densities are
+    histogram[mask] counts the polynomials of the ambient set A that lie
+    in A_p exactly for the primes p = primes[i] whose bit i is set in
+    mask; the primes are distinct.  |A| (ambient_size), |A_p|
+    (member_counts[p]) and |A_p intersect A_q| (pair_counts[(p, q)] with
+    p <= q, the diagonal being |A_p|) are read off it.  Densities are
     exact rationals in [0, 1).
     """
 
-    ambient_size: int
     z: int
     primes: tuple[int, ...]
     densities: dict[int, Fraction]
-    member_counts: dict[int, int]
-    pair_counts: dict[tuple[int, int], int]
+    histogram: dict[int, int]
 
     def __post_init__(self):
-        if self.ambient_size < 0:
-            raise ValueError("ambient_size must be >= 0")
+        if len(set(self.primes)) < len(self.primes):
+            raise ValueError("primes must be distinct")
         for p in self.primes:
-            if p not in self.densities or p not in self.member_counts:
-                raise ValueError(f"missing density or member count for prime {p}")
+            if p not in self.densities:
+                raise ValueError(f"missing density for prime {p}")
             if not 0 <= self.densities[p] < 1:
                 raise ValueError(f"density for {p} must lie in [0, 1)")
-            if not 0 <= self.member_counts[p] <= self.ambient_size:
-                raise ValueError(f"member count for {p} exceeds the ambient set")
-        for p in self.primes:
-            for q in self.primes:
-                if p < q and (p, q) not in self.pair_counts:
-                    raise ValueError(f"missing pair count for ({p}, {q})")
-        for (p, q), c in self.pair_counts.items():
-            if p > q or p not in self.member_counts or q not in self.member_counts:
-                raise ValueError(f"bad pair key ({p}, {q})")
-            if p == q and c != self.member_counts[p]:
-                raise ValueError(f"pair count ({p}, {p}) must equal the member count")
-            if c > min(self.member_counts[p], self.member_counts[q]):
-                raise ValueError(f"pair count ({p}, {q}) exceeds a member count")
+        for mask, count in self.histogram.items():
+            if mask >> len(self.primes):
+                raise ValueError(f"mask {mask} sets a bit past the {len(self.primes)} primes")
+            if count < 0:
+                raise ValueError(f"count for mask {mask} must be >= 0")
+
+    @cached_property
+    def ambient_size(self) -> int:
+        return sum(self.histogram.values())
+
+    @cached_property
+    def member_counts(self) -> dict[int, int]:
+        return {p: self.pair_counts[(p, p)] for p in self.primes}
+
+    @cached_property
+    def pair_counts(self) -> dict[tuple[int, int], int]:
+        ordered = sorted(self.primes)
+        pair = {(p, q): 0 for i, p in enumerate(ordered) for q in ordered[i:]}
+        for mask, count in self.histogram.items():
+            hits = sorted(p for i, p in enumerate(self.primes) if mask >> i & 1)
+            for key in itertools.combinations_with_replacement(hits, 2):
+                pair[key] += count
+        return pair
 
     def intersection_count(self, p: int, q: int) -> int:
-        if p == q:
-            return self.member_counts[p]
-        key = (p, q) if p < q else (q, p)
-        return self.pair_counts[key]
+        return self.pair_counts[(p, q) if p <= q else (q, p)]
 
 
 def turan_upper_bound(inst: TuranInstance) -> Fraction:
@@ -248,18 +257,6 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     return sifted
 
 
-def _sieve_primes(degree: int, z: int) -> tuple[int, ...]:
-    # The primes below z, after the checks every Turan instance shares.
-    if degree < 2:
-        raise ValueError(f"instance needs degree >= 2, got {degree}")
-    check_degree(degree)  # before any p^degree
-    primes = primes_below(z)
-    if len(primes) > INSTANCE_PRIME_LIMIT:
-        raise FeasibilityError(f"sieve level too large: {len(primes)} primes below {z} "
-                               f"exceed limit {INSTANCE_PRIME_LIMIT}")
-    return primes
-
-
 def _slice_histogram(degree: int, height: int, modulus: int,
                      lookups: list[tuple[int, Callable[[Sequence[int]], int]]]) -> dict[int, int]:
     # {mask: count} over the admissible polynomials, from the residue
@@ -299,24 +296,6 @@ def _slice_histogram(degree: int, height: int, modulus: int,
     return histogram
 
 
-def _turan_instance(degree: int, z: int, primes: tuple[int, ...],
-                    histogram: dict[int, int]) -> TuranInstance:
-    # The Turan instance read off a membership histogram over `primes`.
-    pair = {(p, q): 0 for i, p in enumerate(primes) for q in primes[i:]}
-    for mask, count in histogram.items():
-        hits = [p for i, p in enumerate(primes) if mask >> i & 1]
-        for key in itertools.combinations_with_replacement(hits, 2):
-            pair[key] += count
-    return TuranInstance(
-        ambient_size=sum(histogram.values()),
-        z=z,
-        primes=primes,
-        densities=dict.fromkeys(primes, Fraction(1, degree)),
-        member_counts={p: pair[(p, p)] for p in primes},
-        pair_counts=pair,
-    )
-
-
 def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> dict[int, int]:
     # The membership histogram of the admissible set over `primes`.  Only
     # `sifting`, the primes above the degree, is priced and tested: at the
@@ -344,24 +323,31 @@ def _admissible_histogram(degree: int, height: int, primes: tuple[int, ...]) -> 
 def build_admissible_instance(degree: int, height: int, z: int) -> TuranInstance:
     """Materialize the sifting problem for the admissible set at level z.
 
-    Densities are all 1/degree; member and pairwise counts are exact.
-    A_p is empty at each prime p up to the degree, where f(1) = degree!
-    makes x - 1 a factor, so only the primes above the degree are tested,
-    in one walk over the residue vectors mod M that have a lift in
-    [0, H]; the others are skipped before any test (see
-    _slice_histogram).  M is the product P of those primes when its
-    P^(degree-1) vectors cost less than N(H) tests at each prime (P = 1
-    with no such prime: one vector, N(H) lifts), else H + 1, where the
-    walk is the admissible set and builds no polynomial object.  It needs
-    no ENUM_LIMIT: an untabled prime above the degree keeps N(H) within
-    DIRECT_TEST_LIMIT, and with every such prime tabled N(H) <= 2,600.
-    The closed-form remainder shapes belong to the pipeline report, never
-    to this instance.  Raises FeasibilityError ("sieve level too large")
+    Densities are all 1/degree; the histogram is exact, and so are the
+    member and pairwise counts read off it.  A_p is empty at each prime p
+    up to the degree, where f(1) = degree! makes x - 1 a factor, so only
+    the primes above the degree are tested, in one walk over the residue
+    vectors mod M that have a lift in [0, H]; the others are skipped
+    before any test (see _slice_histogram).  M is the product P of those
+    primes when its P^(degree-1) vectors cost less than N(H) tests at each
+    prime (P = 1 with no such prime: one vector, N(H) lifts), else H + 1,
+    where the walk is the admissible set and builds no polynomial object.
+    It needs no ENUM_LIMIT: an untabled prime above the degree keeps N(H)
+    within DIRECT_TEST_LIMIT, and with every such prime tabled
+    N(H) <= 2,600.  The closed-form remainder shapes belong to the
+    pipeline report, never to this instance.  Raises FeasibilityError ("sieve level too large")
     past INSTANCE_PRIME_LIMIT primes below z, and ("sieve work too
     large") when the walk needs more than DIRECT_TEST_LIMIT direct tests.
     """
-    primes = _sieve_primes(degree, z)
-    return _turan_instance(degree, z, primes, _admissible_histogram(degree, height, primes))
+    if degree < 2:
+        raise ValueError(f"instance needs degree >= 2, got {degree}")
+    check_degree(degree)  # before any p^degree
+    primes = primes_below(z)
+    if len(primes) > INSTANCE_PRIME_LIMIT:
+        raise FeasibilityError(f"sieve level too large: {len(primes)} primes below {z} "
+                               f"exceed limit {INSTANCE_PRIME_LIMIT}")
+    return TuranInstance(z=z, primes=primes, densities=dict.fromkeys(primes, Fraction(1, degree)),
+                         histogram=_admissible_histogram(degree, height, primes))
 
 
 def sieve_level(height: int) -> int:
@@ -441,10 +427,12 @@ def pipeline_lower_bound(
     reducible polynomial survives the sifting.  The closed-form N(H)
     behind the remainders must also equal the number of polynomials the
     A(H) census enumerates.  Violations raise RuntimeError because they
-    can only be implementation bugs.  The Turan instance and S_exact come
-    from the same histogram as in build_admissible_instance, by the same
-    walk, which builds no polynomial object; A(H) is counted by the one
-    enumeration, whose ENUM_LIMIT is checked before any membership test.
+    can only be implementation bugs.  S_exact is mask 0 of the histogram
+    of build_admissible_instance, the instance the bound is evaluated on,
+    so the Turan comparison checks turan_upper_bound's arithmetic, not a
+    second count of the sifted set.  The walk builds no polynomial
+    object; A(H) is counted by the one enumeration, whose ENUM_LIMIT is
+    checked before the instance's limits and any membership test.
     """
     if degree < 3:
         raise ValueError(f"pipeline requires degree >= 3, got {degree}")
@@ -454,11 +442,9 @@ def pipeline_lower_bound(
     if z is None:
         z = sieve_level(height) if height >= 2 else 1
 
-    primes = _sieve_primes(degree, z)
     ambient = enumerate_admissible(degree, height)
-    histogram = _admissible_histogram(degree, height, primes)
-    instance = _turan_instance(degree, z, primes, histogram)
-    sifted = histogram.get(0, 0)
+    instance = build_admissible_instance(degree, height, z)
+    sifted = instance.histogram.get(0, 0)
     ambient_count = count_admissible_exact(degree, height)
     bound = turan_upper_bound(instance) if instance.primes else None
     enumerated = irreducible = 0

@@ -80,6 +80,8 @@ def test_modulus_limit_is_checked_before_trial_division():
 def test_mobius_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
     assert all(mobius(n) == brute_mobius(n) for n in range(1, 2001))
+    with pytest.raises(ValueError, match="mobius expects n >= 1, got 0"):
+        mobius(0)
 
 
 def test_tester_reduces_integer_coefficients():
@@ -525,6 +527,8 @@ def test_audit_checks_every_prime_before_the_first_row(monkeypatch):
 
 
 def test_audit_preconditions():
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        count_irreducibles_exact(0, 2)
     with pytest.raises(ValueError):
         audit_irreducible_counts(1, [2])
     with pytest.raises(ValueError):

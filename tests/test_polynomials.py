@@ -160,6 +160,13 @@ def test_claimed_bound_anchors():
     assert claimed_upper_bound(3, 6) == 153  # C(18,2)
     assert claimed_upper_bound(3, 2) == 15  # C(6,2)
     assert claimed_upper_bound(3, 0) == 0
+    for call, message in (
+        (lambda: claimed_lower_bound(0, 5), "degree must be >= 1, got 0"),
+        (lambda: claimed_upper_bound(0, 5), "degree must be >= 1, got 0"),
+        (lambda: claimed_upper_bound(3, -1), "height must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_audit_flags_known_violation():

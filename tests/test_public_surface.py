@@ -43,7 +43,8 @@ ORACLE_NAMES = (
 # residue route's passes mod each p <= n, which only found A_p empty;
 # and the per-polynomial membership pass, now the residue walk mod H + 1;
 # and the sign rule on x + b, which saved long divisions but no time;
-# and a wrapper of count_bounded_compositions' integers and a second binomial.
+# and a wrapper of count_bounded_compositions' integers and a second binomial;
+# and the Turan instance's copies of its histogram and their prime checks.
 DELETED_NAMES = (
     "CompositionQuery",
     "DEFAULT_ENUM_LIMIT",
@@ -67,9 +68,11 @@ DELETED_NAMES = (
     "_residue_histogram",
     "_residue_moduli",
     "_same_modulus",
+    "_sieve_primes",
     "_sub",
     "_table_or_direct",
     "_tails",
+    "_turan_instance",
     "count_nonneg_compositions",
     "count_positive_compositions",
     "fp_divmod",
@@ -136,3 +139,23 @@ def test_package_modules_use_every_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in _imported_names(tree) if name not in used]
     assert not unused
+
+
+def test_every_private_helper_is_used():
+    # A private module-level function or class must be named somewhere in
+    # the package besides its definition.  _is_irreducible_raw is the one
+    # exception: only the tests and bench/tracer.py read it.
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(admissible.__file__).parent.glob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(a.name for a in node.names)
+    assert defined - named == {"_is_irreducible_raw"}

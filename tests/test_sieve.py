@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -42,14 +43,7 @@ def test_prime_count_vs_crosscheck():
 def test_turan_bound_hand_computed():
     # Single prime, density 1/2, |A| = 10, |A_p| = 5:
     # 10/(1/2) + (2/(1/2))*0 + (1/(1/4))*|5 - 10/4| = 20 + 0 + 10.
-    inst = TuranInstance(
-        ambient_size=10,
-        z=3,
-        primes=(2,),
-        densities={2: Fraction(1, 2)},
-        member_counts={2: 5},
-        pair_counts={(2, 2): 5},
-    )
+    inst = TuranInstance(z=3, primes=(2,), densities={2: Fraction(1, 2)}, histogram={0: 5, 1: 5})
     assert turan_upper_bound(inst) == 30
 
 
@@ -60,33 +54,33 @@ def test_turan_bound_single_prime_exact_density():
     for size, member in [(12, 3), (10, 5), (21, 7), (100, 1)]:
         d = Fraction(member, size)
         inst = TuranInstance(
-            ambient_size=size,
-            z=3,
-            primes=(2,),
-            densities={2: d},
-            member_counts={2: member},
-            pair_counts={(2, 2): member},
+            z=3, primes=(2,), densities={2: d}, histogram={0: size - member, 1: member}
         )
         assert turan_upper_bound(inst) == size * (2 - d) / d
 
 
 def test_turan_bound_invariant_under_prime_reordering():
-    kwargs = dict(
-        ambient_size=21,
-        z=6,
-        densities={2: Fraction(1, 3), 3: Fraction(1, 3), 5: Fraction(1, 3)},
-        member_counts={2: 0, 3: 0, 5: 7},
-        pair_counts={(2, 2): 0, (3, 3): 0, (5, 5): 7, (2, 3): 0, (2, 5): 0, (3, 5): 0},
-    )
-    a = TuranInstance(primes=(2, 3, 5), **kwargs)
-    b = TuranInstance(primes=(5, 3, 2), **kwargs)
-    assert turan_upper_bound(a) == turan_upper_bound(b)
+    # 21 polynomials over (2, 3, 5); reordering the primes moves each
+    # membership to the bit of its prime's new place.
+    by_prime = {(): 9, (2,): 3, (2, 5): 4, (3, 5): 2, (2, 3, 5): 3}
+    densities = {2: Fraction(1, 3), 3: Fraction(1, 3), 5: Fraction(1, 3)}
+    instances = []
+    for primes in ((2, 3, 5), (5, 3, 2), (3, 2, 5)):
+        histogram = {sum(1 << primes.index(p) for p in hits): c for hits, c in by_prime.items()}
+        instances.append(TuranInstance(z=6, primes=primes, densities=densities,
+                                       histogram=histogram))
+    a = instances[0]
+    assert a.member_counts == {2: 10, 3: 5, 5: 9}
+    assert a.pair_counts == {(2, 2): 10, (2, 3): 3, (2, 5): 7, (3, 3): 5, (3, 5): 5, (5, 5): 9}
+    for b in instances[1:]:
+        assert b.ambient_size == a.ambient_size == 21
+        assert b.pair_counts == a.pair_counts
+        assert turan_upper_bound(b) == turan_upper_bound(a)
 
 
 def test_turan_empty_sieve():
-    inst = TuranInstance(
-        ambient_size=5, z=2, primes=(), densities={}, member_counts={}, pair_counts={}
-    )
+    inst = TuranInstance(z=2, primes=(), densities={}, histogram={0: 5})
+    assert inst.ambient_size == 5 and inst.member_counts == {} and inst.pair_counts == {}
     with pytest.raises(ValueError, match="empty sieve"):
         turan_upper_bound(inst)
 
@@ -94,51 +88,37 @@ def test_turan_empty_sieve():
 def test_instance_validation():
     with pytest.raises(ValueError):
         TuranInstance(
-            ambient_size=5,
             z=3,
             primes=(2,),
             densities={2: Fraction(1, 1)},  # density must be < 1
-            member_counts={2: 1},
-            pair_counts={(2, 2): 1},
-        )
-    with pytest.raises(ValueError):
-        TuranInstance(
-            ambient_size=5,
-            z=3,
-            primes=(2,),
-            densities={2: Fraction(1, 2)},
-            member_counts={2: 9},  # exceeds ambient
-            pair_counts={(2, 2): 9},
-        )
-    with pytest.raises(ValueError):
-        TuranInstance(
-            ambient_size=5,
-            z=4,
-            primes=(2, 3),
-            densities={2: Fraction(1, 2), 3: Fraction(1, 2)},
-            member_counts={2: 2, 3: 2},
-            pair_counts={(2, 2): 2, (3, 3): 2},  # missing (2, 3)
+            histogram={0: 4, 1: 1},
         )
 
 
+# |A| = 5, |A_2| = |A_3| = 2, |A_2 ^ A_3| = 1.
 _VALID_INSTANCE = dict(
-    ambient_size=5,
     z=4,
     primes=(2, 3),
     densities={2: Fraction(1, 2), 3: Fraction(1, 2)},
-    member_counts={2: 2, 3: 2},
-    pair_counts={(2, 2): 2, (3, 3): 2, (2, 3): 1},
+    histogram={0: 2, 0b01: 1, 0b10: 1, 0b11: 1},
 )
 
 
+def test_instance_counts_are_read_off_the_histogram():
+    inst = TuranInstance(**_VALID_INSTANCE)
+    assert inst.ambient_size == 5
+    assert inst.member_counts == {2: 2, 3: 2}
+    assert inst.pair_counts == {(2, 2): 2, (2, 3): 1, (3, 3): 2}
+    assert inst.intersection_count(3, 2) == inst.intersection_count(2, 3) == 1
+    assert inst.intersection_count(3, 3) == 2
+
+
 @pytest.mark.parametrize("change, message", [
-    ({"ambient_size": -1}, "ambient_size must be >= 0"),
-    ({"densities": {2: Fraction(1, 2)}}, "missing density or member count for prime 3"),
-    ({"pair_counts": {**_VALID_INSTANCE["pair_counts"], (3, 2): 1}}, "bad pair key (3, 2)"),
-    ({"pair_counts": {**_VALID_INSTANCE["pair_counts"], (2, 2): 1}},
-     "pair count (2, 2) must equal the member count"),
-    ({"pair_counts": {**_VALID_INSTANCE["pair_counts"], (2, 3): 3}},
-     "pair count (2, 3) exceeds a member count"),
+    ({"primes": (2, 3, 2)}, "primes must be distinct"),
+    ({"densities": {2: Fraction(1, 2)}}, "missing density for prime 3"),
+    ({"densities": {2: Fraction(1, 2), 3: Fraction(-1, 2)}}, "density for 3 must lie in [0, 1)"),
+    ({"histogram": {**_VALID_INSTANCE["histogram"], 0b100: 1}}, "mask 4 sets a bit past the 2 primes"),
+    ({"histogram": {**_VALID_INSTANCE["histogram"], 0: -1}}, "count for mask 0 must be >= 0"),
 ])
 def test_instance_validation_messages(change, message):
     TuranInstance(**_VALID_INSTANCE)
@@ -273,6 +253,17 @@ def test_pipeline_preconditions():
         pipeline_lower_bound(2, 6)
     with pytest.raises(ValueError):
         pipeline_lower_bound(3, -1)
+    with pytest.raises(ValueError, match="instance needs degree >= 2, got 1"):
+        build_admissible_instance(1, 5, 4)
+
+
+def test_pipeline_checks_the_sifting_chain(monkeypatch):
+    # Every reducible polynomial survives the sifting, so A(H) >= N(H) - S_exact;
+    # an irreducibility test that calls everything reducible breaks it.
+    monkeypatch.setattr(sieve, "is_irreducible_over_z",
+                        lambda f: types.SimpleNamespace(irreducible=False))
+    with pytest.raises(RuntimeError, match="sifting chain inequality violated"):
+        pipeline_lower_bound(4, 24, z_override=6)
 
 
 def test_chebyshev_audit():
