@@ -15,7 +15,11 @@ one class, built on the first lookup of that class.  Every admissible
 polynomial has f(1) = n!, so it only ever needs one class per (p, n).
 A class is built by striking out every product g*h with g monic
 irreducible of degree <= n/2 and g(1) h(1) = c, each entry storing the
-divisor degrees read off the class table of the cofactor h.  Past the
+divisor degrees read off the class table of the cofactor h.  Each g
+strikes out its whole cofactor class at once, by passes of `map` over
+the class's coefficient columns laid out in table order: each index
+digit of g*h is a g_i-weighted sum of columns, turned into the digit
+by one lookup row per (p, n) and digit.  Past the
 table limit, one polynomial's divisor degrees come from its
 distinct-degree factorization, the one direct algorithm here: x^p mod f
 by binary powering, then each later stage x^(p^d) mod f as one product
@@ -30,10 +34,12 @@ irreducibles of each degree comes from the Gauss/Moebius formula.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from operator import add
+from typing import Callable, Sequence
 
 from .errors import FeasibilityError
 from .polynomials import check_degree
@@ -203,13 +209,26 @@ def _is_irreducible_raw(fc: list[int], p: int) -> bool:
     return _distinct_degree_sets(fc, p) == 1 | 1 << len(fc) - 1
 
 
-def _class_members(p: int, degree: int, c: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    # (a_0, ..., a_{degree-1}) and divisor degrees of every monic polynomial
-    # of the class f(1) = c mod p, in table index order.
-    entries = _divisor_degree_table(p, degree, c)
-    for i, digits in enumerate(itertools.product(range(p), repeat=degree - 1)):
-        rest = digits[::-1]  # a_1, ..., a_{degree-1}, a_1 varying fastest
-        yield ((c - 1 - sum(rest)) % p, *rest), entries[i]
+def _class_columns(p: int, degree: int, c: int) -> list[list[int]]:
+    # The coefficient columns a_0, ..., a_{degree-1} of the monic
+    # polynomials of the class f(1) = c mod p, in table index order: a_k
+    # is base-p digit k - 1 of the index, and a_0 = c - 1 - (a_1 + ... +
+    # a_{degree-1}) mod p.
+    size = p ** (degree - 1)
+    rest = [[a for a in range(p) for _ in range(p**k)] * (size // p ** (k + 1))
+            for k in range(degree - 1)]
+    return [[(c - 1 - s) % p for s in map(sum, zip(*rest))] if rest else [(c - 1) % p], *rest]
+
+
+@lru_cache(maxsize=None)
+def _digit_rows(p: int, degree: int) -> tuple[list[int], ...]:
+    # Row k - 1 maps coefficient k of a product g*h of this degree, before
+    # reduction, to its table index digit (v mod p) * p^(k-1), for
+    # k = 1..degree-1.  With m = deg g <= degree // 2, that coefficient is a
+    # sum of at most m + 1 terms g_i h_j, each at most (p - 1)^2, and when
+    # there are m + 1 one of them is g_m h_j or g_i h_{deg h}, at most p - 1.
+    size = degree // 2 * (p - 1) ** 2 + p
+    return tuple([v % p * p**k for v in range(size)] for k in range(degree - 1))
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +244,10 @@ def _divisor_degree_table(p: int, degree: int, c: int) -> tuple[int, ...]:
     # irreducible with g(1) = 0 is x - 1, which divides every f of class
     # 0, so that class is struck out by x - 1 alone, with h of any class.
     # Entries no product reaches stay {0, degree}: the irreducibles.
+    # Each g strikes out its whole cofactor class at once, in passes over
+    # the class's coefficient columns: coefficient k of g*h is a constant
+    # plus a g_i-weighted sum of the columns h_j, i + j = k, and a digit
+    # row turns that sum into digit k of the index.
     irreducible = 1 | 1 << degree
     sets = [irreducible] * p ** (degree - 1)
     if degree == 1:
@@ -232,21 +255,36 @@ def _divisor_degree_table(p: int, degree: int, c: int) -> tuple[int, ...]:
     if c == 0:
         strikes = [(1, [(p - 1,)], b) for b in range(p)]
     else:
-        strikes = [(m, [g for g, s in _class_members(p, m, a) if s == 1 | 1 << m],
+        strikes = [(m, [g for g, s in zip(zip(*_class_columns(p, m, a)),
+                                          _divisor_degree_table(p, m, a)) if s == 1 | 1 << m],
                     c * pow(a, -1, p) % p)
                    for m in range(1, degree // 2 + 1) for a in range(1, p)]
-    weights = [0] + [p**k for k in range(degree - 1)]  # a_0 is fixed by the class
+    rows = _digit_rows(p, degree)
     for m, factors, b in strikes:
-        cofactors = [(h, s | s << m) for h, s in _class_members(p, degree - m, b)]
+        d = degree - m
+        h = _class_columns(p, d, b)
+        products = [s | s << m for s in _divisor_degree_table(p, d, b)]
+        # Per digit k: its row, j = k - d for the constant term g_j h_d
+        # (h_d = 1; no constant when j < 0), and each column h_{k-i} with
+        # its i.  Some g_i of those columns is nonzero, so the constant is
+        # always added: g_m = 1 when k >= m, and g_0 != 0 when k < m, as g
+        # is irreducible of degree m >= 2 there.
+        plan = [(row, k - d, [(i, h[k - i]) for i in range(max(0, k - d + 1), min(m, k) + 1)])
+                for k, row in enumerate(rows, 1)]
         for g in factors:
-            for h, product_set in cofactors:
-                f = [0] * m + list(h)  # x^m * h below x^degree
-                for i, gi in enumerate(g):
-                    if gi:
-                        for j, hj in enumerate(h, i):
-                            f[j] += gi * hj
-                        f[i + degree - m] += gi  # gi x^i times the leading x^(degree-m)
-                sets[sum([fk % p * w for fk, w in zip(f, weights)])] = product_set
+            g = (*g, 1)
+            index = None
+            for row, j, terms in plan:
+                const, v = (g[j] if j >= 0 else 0), None
+                for i, column in terms:
+                    if not (w := g[i]):
+                        continue
+                    if w > 1 or const:  # range(const, ..., w)[x] = const + w x
+                        column, const = map(range(const, const + w * p, w).__getitem__, column), 0
+                    v = column if v is None else map(add, v, column)
+                digit = map(row.__getitem__, v)
+                index = digit if index is None else map(add, index, digit)
+            deque(map(sets.__setitem__, index, products), 0)  # maxlen 0: scatter, keep nothing
     return tuple(sets)
 
 
@@ -259,7 +297,7 @@ def irreducible_table(p: int, degree: int) -> tuple[bool, ...]:
     Entry i is True iff the polynomial's only monic divisors have degree
     0 and degree, read through `factor_degree_sets`.  No library code
     calls it: it is a view kept for `bench/tracer.py` until that tracer
-    reads run statistics from the library (ROADMAP direction 1).
+    reads run statistics from the library (ROADMAP direction 2).
     Raises what `factor_degree_sets` raises, then FeasibilityError
     ("table too large") past TABLE_LIMIT.
     """

@@ -25,7 +25,9 @@ needed.  The decision runs in three stages:
 
 The candidates of the degrees stage 2 leaves open, and only those, are
 counted against SEARCH_LIMIT before any is tried, and so are the
-sqrt|a_0| trial divisions that list the divisors of a_0.
+sqrt|a_0| trial divisions that list the divisors of a_0.  The constant
+terms -1 and 1 divide every a_0, so the candidates with those two alone
+are counted first, before the listing.
 
 Every stage only drops candidates that cannot divide f, and the box is
 searched degree by degree, so the witness is the first divisor of the
@@ -127,8 +129,10 @@ def is_irreducible_over_z(f: MonicIntPolynomial) -> FactorizationWitness:
     the Mignotte box that f needs holds more than SEARCH_LIMIT candidate
     factors: those of the degrees its factor-degree sets leave open,
     counted before any is tried, or when listing the divisors of a_0
-    takes more than SEARCH_LIMIT trial divisions, about sqrt|a_0|.  No
-    box is built when none is open.  It never returns a wrong answer.
+    takes more than SEARCH_LIMIT trial divisions, about sqrt|a_0|.  The
+    candidates with constant term -1 or 1 are counted before that
+    listing, so a box too large with those alone never lists a divisor.
+    No box is built when none is open.  It never returns a wrong answer.
     """
     n = f.degree
     if n == 1:
@@ -186,6 +190,13 @@ def _candidates(bounds: list[int], divisors: list[int], at_one: int,
                 yield [*head, b, 1]
 
 
+def _check_candidates(candidates: int) -> None:
+    if candidates > SEARCH_LIMIT:
+        raise FeasibilityError(
+            f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
+        )
+
+
 def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> FactorizationWitness:
     # The first divisor of f among the candidates of the degrees m whose bit
     # is set in `degrees`, degree by degree; with none set, no box is built.
@@ -193,8 +204,10 @@ def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> Factorization
     # degree m (f monic), so every degree shares the constant terms: the
     # divisors of a_0 up to ||f||_2.  Listing them takes sqrt|a_0| trial
     # divisions (||f||_2 >= |a_0| never cuts the loop), so that count is
-    # checked against SEARCH_LIMIT first, then the candidates, all before
-    # any is tried.
+    # checked against SEARCH_LIMIT first.  Then the candidates are: first
+    # with the constant terms -1 and 1 alone, which divide every a_0, so a
+    # box too large is refused before the listing starts; then with every
+    # divisor, all before any is tried.
     if not degrees:
         return FactorizationWitness()
     full = list(f.all_coefficients())
@@ -202,16 +215,14 @@ def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> Factorization
         raise FeasibilityError(f"search space exceeded: {trials} trial divisions of a_0 "
                                f"exceed limit {SEARCH_LIMIT}")
     norm = _ceil_sqrt(sum(c * c for c in full))
-    divisors = _signed_divisors(full[0], norm)
     box = [(m, [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)])
            for m in range(1, degrees.bit_length()) if degrees >> m & 1]
-    candidates = 0
+    tails = 0  # candidates per constant term, over the degrees counted so far
     for _, bounds in box:
-        candidates += len(divisors) * math.prod(2 * b + 1 for b in bounds[1:])
-        if candidates > SEARCH_LIMIT:
-            raise FeasibilityError(
-                f"search space exceeded: {candidates} candidates exceed limit {SEARCH_LIMIT}"
-            )
+        tails += math.prod(2 * b + 1 for b in bounds[1:])
+        _check_candidates(2 * tails)
+    divisors = _signed_divisors(full[0], norm)
+    _check_candidates(len(divisors) * tails)
     at_one = sum(full)
     at_minus_one = sum(full[::2]) - sum(full[1::2])
     for m, bounds in box:

@@ -53,9 +53,9 @@ INSTANCE_PRIME_LIMIT = 500
 # get no lookup table (finite_field._tabled): per such prime, the ambient
 # size when the walk is past the height, or the residue vectors mod the
 # product of those primes when it is mod that product.
-# One degree-4 test took 0.1 ms (p near 17) to 0.4 ms (p near 3,571) on
-# a 2 vCPU Intel Xeon with Python 3.11, so this is about 8 s at most; at
-# degree 6, the 16,807 tests mod 7 take 2.3 s.
+# One degree-4 test took 0.03-0.06 ms (p = 17) to 0.08-0.14 ms (p = 3,571)
+# on a 2 vCPU Intel Xeon with Python 3.11, so this is under 3 s there; at
+# degree 6, the 16,807 tests of one class mod 7 take 1.0-1.8 s.
 DIRECT_TEST_LIMIT = 20_000
 
 # The Chebyshev audit's band for pi(z) * ln(z) / z, from z = 17 on.

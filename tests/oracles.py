@@ -26,6 +26,11 @@ package's arithmetic over F_p, the oracles share only `_gcd` and
 * `brute_sieve_counts` decides membership mod p with
   `is_irreducible_trial_division`, so it shares that oracle's `_mod`.
 
+`divisor_degree_table_by_products` is the reference build of the mod-p
+class tables: it multiplies out every product g*h one at a time, as
+the package once did, where the package strikes out whole cofactor
+classes by column passes.  Its sub-tables are its own.
+
 `irr_count_report` is the rendering oracle of `irr-count`: it takes the
 package's verdicts and polynomial texts but prints them with the
 standard library's writers, `json.dumps` and `csv.writer`, over the
@@ -33,6 +38,7 @@ whole report held in memory.
 """
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -440,6 +446,51 @@ def count_irreducibles_in_class(degree: int, p: int, c: int) -> int:
             rho = sum(1 for a in range(1, p) if pow(a, d, p) == c % p)
             total += brute_mobius(d) * rho * (p ** (degree // d) - 1) // (p - 1)
     return total // degree
+
+
+def _class_members_by_products(p: int, degree: int, c: int):
+    # (a_0, ..., a_{degree-1}) and divisor degrees of every monic polynomial
+    # of the class f(1) = c mod p, in table index order.
+    entries = divisor_degree_table_by_products(p, degree, c)
+    for i, digits in enumerate(itertools.product(range(p), repeat=degree - 1)):
+        rest = digits[::-1]  # a_1, ..., a_{degree-1}, a_1 varying fastest
+        yield ((c - 1 - sum(rest)) % p, *rest), entries[i]
+
+
+@functools.lru_cache(maxsize=None)
+def divisor_degree_table_by_products(p: int, degree: int, c: int) -> tuple[int, ...]:
+    """The class table of f(1) = c mod p, one product g*h at a time.
+
+    The reference for `finite_field._divisor_degree_table`, with the same
+    entries and index order: every g monic irreducible of degree
+    m <= degree/2 times every h of class c / g(1) (x - 1 times every h
+    when c = 0) is multiplied out as a list, its index summed from its
+    coefficients mod p, and its entry set to S(h) | S(h) << m.  The
+    sub-tables come from this function, never from the package.
+    """
+    irreducible = 1 | 1 << degree
+    sets = [irreducible] * p ** (degree - 1)
+    if degree == 1:
+        return tuple(sets)
+    if c == 0:
+        strikes = [(1, [(p - 1,)], b) for b in range(p)]
+    else:
+        strikes = [(m, [g for g, s in _class_members_by_products(p, m, a) if s == 1 | 1 << m],
+                    c * pow(a, -1, p) % p)
+                   for m in range(1, degree // 2 + 1) for a in range(1, p)]
+    weights = [0] + [p**k for k in range(degree - 1)]  # a_0 is fixed by the class
+    for m, factors, b in strikes:
+        cofactors = [(h, s | s << m) for h, s in _class_members_by_products(p, degree - m, b)]
+        for g in factors:
+            for h, product_set in cofactors:
+                f = [0] * m + list(h)  # x^m * h below x^degree
+                for i, gi in enumerate(g):
+                    if gi:
+                        for j, hj in enumerate(h, i):
+                            f[j] += gi * hj
+                        f[i + degree - m] += gi  # gi x^i times the leading x^(degree-m)
+                sets[sum([fk % p * w for fk, w in zip(f, weights)])] = product_set
+    return tuple(sets)
 
 
 def irr_count_report(degree: int, height: int, fmt: str) -> str:

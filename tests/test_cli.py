@@ -365,7 +365,8 @@ def test_feasibility_errors_exit_3(run_cli):
         (["irr-count", "--degree", "6", "--height", "200"], "enumeration too large"),
         (["sieve", "--degree", "6", "--height", "200", "--z", "4"], "enumeration too large"),
         # The first octic of height 5040 keeps factor degrees 2, 3 and 4 at
-        # every prime; its candidates of degree <= 3 already number 6,504,157,436.
+        # every prime; its candidates of degree <= 3 with constant term -1 or 1
+        # already number 3,252,078,718.
         (["irr-count", "--degree", "8", "--height", "5040"], "search space exceeded"),
         # The 22 admissible polynomials of height 21! have a_0 near 21!,
         # whose divisors take about 7e9 trial divisions to list.

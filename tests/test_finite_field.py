@@ -36,6 +36,7 @@ from oracles import (
     brute_mobius,
     count_irreducibles_exhaustive,
     count_irreducibles_in_class,
+    divisor_degree_table_by_products,
     is_irreducible_rabin,
     is_irreducible_trial_division,
     is_squarefree_trial_division,
@@ -231,6 +232,16 @@ def test_class_tables_match_trial_division_entry_by_entry():
             assert degrees == brute_divisor_degrees(fc, p), (p, n, c, j)
 
 
+def test_class_tables_match_the_per_product_build():
+    # Every entry of every class up to TABLE_LIMIT, against products
+    # multiplied out one at a time.
+    grid = _class_grid(TABLE_LIMIT)
+    assert len(grid) == 191
+    for p, n, c in grid:
+        assert finite_field._divisor_degree_table(p, n, c) == divisor_degree_table_by_products(
+            p, n, c), (p, n, c)
+
+
 def test_class_irreducible_counts_match_the_closed_form():
     grid = _class_grid(TABLE_LIMIT)
     assert len(grid) == 191
@@ -257,6 +268,33 @@ def test_an_admissible_census_builds_one_class_per_tabled_prime():
                 cached.append((p, 5, c))
     assert cached == [(2, 5, 0), (3, 5, 0), (5, 5, 0), (7, 5, 1)]
     assert 11**5 > TABLE_LIMIT >= 7**5
+
+
+def test_a_quartic_census_builds_its_classes_and_their_cofactors_only():
+    # Every admissible quartic has f(1) = 24: class 0 mod 2 and 3, struck
+    # out by x - 1 times the cubics of every class, and class 24 mod p
+    # != 0 for p = 5, 7, 11 and 13, struck out by g*h with g(1) and h(1)
+    # nonzero.  Building those six classes builds their factor and
+    # cofactor classes down to degree 1, and nothing else: 117 classes.
+    table = finite_field._divisor_degree_table
+    table.cache_clear()
+    irreducible_table.cache_clear()
+    factor_degree_sets.cache_clear()
+    assert count_admissible_irreducible(4, 24) == 2041
+    built = table.cache_info().currsize
+    cached = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 5):
+            for c in range(p):
+                misses = table.cache_info().misses
+                table(p, n, c)  # a miss builds the class now
+                if table.cache_info().misses == misses:
+                    cached.append((p, n, c))
+    want = [(p, n, c) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 4)
+            for c in range(p) if c or p < 5]
+    want += [(p, 4, 24 % p) for p in (2, 3, 5, 7, 11, 13)]
+    assert built == len(cached) == 117
+    assert sorted(cached) == sorted(want)
 
 
 def test_an_admissible_census_resolves_one_lookup_per_prime():

@@ -122,9 +122,11 @@ def test_search_limit_counts_only_the_degrees_left_open(monkeypatch):
     f = MonicIntPolynomial(7, (1, 1, 0, 0, 0, 0, 10000))
     assert is_irreducible_over_z(f).irreducible
     # x^8 + 5040(x^7 + ... + x) + 5039 keeps degrees 2, 3 and 4 at every
-    # prime; it is refused before its linear factor x + 1 is tried.
+    # prime; it is refused before its linear factor x + 1 is tried.  Its
+    # candidates of degree <= 3 with constant term -1 or 1 already number
+    # 3,252,078,718, half of those with the four divisors of 5039.
     g = MonicIntPolynomial(8, (5039,) + (5040,) * 7)
-    with pytest.raises(FeasibilityError, match="search space exceeded: 6504157436 candidates"):
+    with pytest.raises(FeasibilityError, match="search space exceeded: 3252078718 candidates"):
         is_irreducible_over_z(g)
     # With no open degree, f counts no candidate, so even a limit of 0 passes it.
     monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 0)
@@ -146,13 +148,35 @@ def test_the_divisor_listing_runs_to_sqrt_a0_only():
     # a_6 = 12! - 1 and every other a_i = 12!.  Its Mignotte box lists the
     # divisors of a_0 = 12! up to ||f||_2 > |a_0|: trial division up to
     # |a_0| took 33 s before the box was found too large.  Its degree
-    # sets leave only degree 3, so only cubic candidates count.
+    # sets leave only degree 3, so only cubic candidates count, and those
+    # with constant term -1 or 1 already refuse it before any listing.
     f = MonicIntPolynomial(13, (479_001_600,) * 6 + (479_001_599,) + (479_001_600,) * 6)
     start = time.process_time()
-    message = "search space exceeded: 37797445162361993003280 candidates "
+    message = "search space exceeded: 47724046922174233590 candidates "
     with pytest.raises(FeasibilityError, match=message):
         is_irreducible_over_z(f)
     assert time.process_time() - start < 2
+
+
+def test_a_box_too_large_with_unit_constant_terms_lists_no_divisor(monkeypatch):
+    # (x^2 + 2)(x^2 + x + 3) leaves only degree 2 open.  ||f||_2 rounds up
+    # to 9, so b_1 has 21 values: 42 candidates with b_0 = -1 or 1, which
+    # divide every a_0, and 168 with the 8 divisors of 6 up to 9.
+    f = MonicIntPolynomial(4, (6, 2, 5, 1))
+    listed = []
+    signed_divisors = integer_irreducibility._signed_divisors
+    monkeypatch.setattr(integer_irreducibility, "_signed_divisors",
+                        lambda a0, bound: listed.append(a0) or signed_divisors(a0, bound))
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 41)
+    with pytest.raises(FeasibilityError, match="search space exceeded: 42 candidates exceed limit 41"):
+        is_irreducible_over_z(f)
+    assert listed == []
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 167)
+    with pytest.raises(FeasibilityError, match="search space exceeded: 168 candidates exceed limit 167"):
+        is_irreducible_over_z(f)
+    assert listed == [6]
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 168)
+    assert is_irreducible_over_z(f).factors[0].text() == "x^2 + 2"
 
 
 def test_the_divisor_listing_is_bounded_before_it_starts():

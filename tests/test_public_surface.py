@@ -17,6 +17,7 @@ ORACLE_NAMES = (
     "count_irreducibles_exhaustive",
     "count_irreducibles_in_class",
     "count_primes_crosscheck",
+    "divisor_degree_table_by_products",
     "is_irreducible_rabin",
     "is_irreducible_trial_division",
     "multiply_monic",
@@ -44,7 +45,9 @@ ORACLE_NAMES = (
 # and the per-polynomial membership pass, now the residue walk mod H + 1;
 # and the sign rule on x + b, which saved long divisions but no time;
 # and a wrapper of count_bounded_compositions' integers and a second binomial;
-# and the Turan instance's copies of its histogram and their prime checks.
+# and the Turan instance's copies of its histogram and their prime checks;
+# and the class member listing that fed one product at a time to the
+# table builds, now passes over whole coefficient columns.
 DELETED_NAMES = (
     "CompositionQuery",
     "DEFAULT_ENUM_LIMIT",
@@ -54,6 +57,7 @@ DELETED_NAMES = (
     "RABIN_TEST_LIMIT",
     "_check_search_space",
     "_choose",
+    "_class_members",
     "_divisor_degrees",
     "_divmod",
     "_first_factor",
