@@ -143,7 +143,7 @@ def test_signed_divisors_match_trial_division_in_order():
         assert divisors(a0, bound) == brute_signed_divisors(a0, bound), (a0, bound)
 
 
-def test_the_divisor_listing_runs_to_sqrt_a0_only():
+def test_the_divisor_listing_runs_to_sqrt_a0_only(monkeypatch):
     # The seventh admissible polynomial of degree 13 and height 12! has
     # a_6 = 12! - 1 and every other a_i = 12!.  Its Mignotte box lists the
     # divisors of a_0 = 12! up to ||f||_2 > |a_0|: trial division up to
@@ -156,6 +156,20 @@ def test_the_divisor_listing_runs_to_sqrt_a0_only():
     with pytest.raises(FeasibilityError, match=message):
         is_irreducible_over_z(f)
     assert time.process_time() - start < 2
+    # Under a limit of 10^20 those 4.77e19 pass, so the 21,886 trial
+    # divisions up to sqrt(12!) run, and the 1,584 divisors of 12! then
+    # refuse the box: the listing itself must stay well inside 2 s.
+    listed = []
+    signed_divisors = integer_irreducibility._signed_divisors
+    monkeypatch.setattr(integer_irreducibility, "_signed_divisors",
+                        lambda a0, bound: listed.append(a0) or signed_divisors(a0, bound))
+    monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", 10**20)
+    start = time.process_time()
+    message = "search space exceeded: 37797445162361993003280 candidates "
+    with pytest.raises(FeasibilityError, match=message):
+        is_irreducible_over_z(f)
+    assert time.process_time() - start < 2
+    assert listed == [479_001_600]
 
 
 def test_a_box_too_large_with_unit_constant_terms_lists_no_divisor(monkeypatch):
