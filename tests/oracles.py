@@ -31,6 +31,11 @@ class tables: it multiplies out every product g*h one at a time, as
 the package once did, where the package strikes out whole cofactor
 classes by column passes.  Its sub-tables are its own.
 
+`turan_bound_by_ordered_pairs` is the Turan bound as the package once
+summed it: one Fraction per term over every ordered pair of primes, with
+the member and pair counts taken from the instance's histogram by its own
+loop, where the package sums integers over one common denominator.
+
 `irr_count_report` is the rendering oracle of `irr-count`: it takes the
 package's verdicts and polynomial texts but prints them with the
 standard library's writers, `json.dumps` and `csv.writer`, over the
@@ -43,6 +48,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 from admissible import __version__
 from admissible.errors import FeasibilityError
@@ -420,6 +426,36 @@ def brute_sieve_counts(
         if not hits:
             sifted += 1
     return member, pair, sifted
+
+
+def turan_bound_by_ordered_pairs(inst) -> Fraction:
+    """The Turan bound with one Fraction per term, over every ordered pair.
+
+    |A|/U + (2/U) sum_p |R_p| + (1/U^2) sum_{p,q} |R_{p,q}|, the loop the
+    package once ran.  |A|, |A_p| and |A_p ^ A_q| are counted here from
+    the instance's histogram, per ordered pair of prime indices, so the
+    oracle shares neither the package's pair table nor its common
+    denominator.  Raises ValueError ("empty sieve") when U = 0.
+    """
+    k = len(inst.primes)
+    size = 0
+    pair = [[0] * k for _ in range(k)]
+    for mask, count in inst.histogram.items():
+        size += count
+        hits = [i for i in range(k) if mask >> i & 1]
+        for i in hits:
+            for j in hits:
+                pair[i][j] += count
+    d = [inst.densities[p] for p in inst.primes]
+    U = sum(d, Fraction(0))
+    if U == 0:
+        raise ValueError("empty sieve: density sum U(z) is zero")
+    single = sum((abs(pair[i][i] - d[i] * size) for i in range(k)), Fraction(0))
+    double = Fraction(0)
+    for i in range(k):
+        for j in range(k):
+            double += abs(pair[i][j] - d[i] * d[j] * size)
+    return Fraction(size) / U + 2 / U * single + 1 / U**2 * double
 
 
 def count_irreducibles_in_class(degree: int, p: int, c: int) -> int:

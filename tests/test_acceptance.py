@@ -31,6 +31,7 @@ from oracles import (
     count_irreducibles_exhaustive,
     count_primes_crosscheck,
     oracle_is_irreducible_over_z,
+    turan_bound_by_ordered_pairs,
 )
 
 
@@ -112,6 +113,7 @@ def test_criterion_5_turan_inequality():
         sifted = exact_sifted_count(enumerate_admissible(n, h), z)
         if inst.primes:
             bound = turan_upper_bound(inst)
+            assert bound == turan_bound_by_ordered_pairs(inst), (n, h, z)
             assert sifted <= bound, (n, h, z, sifted, bound)
         else:
             # z = 2 admits no primes: the bound is undefined and nothing

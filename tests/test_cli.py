@@ -416,6 +416,9 @@ def test_oversized_sieve_levels_and_audits_exit_3_at_once(run_cli):
         (["sieve", "--degree", "3", "--height", "6", "--z", "100000"], "sieve level too large"),
         # The canonical level of height 10^12 is 30,232: 3,269 primes.
         (["sieve", "--degree", "3", "--height", "1000000000000"], "sieve level too large"),
+        # Past float range the canonical level is an integer cube root.
+        (["sieve", "--degree", "3", "--height", str(10**306)], "sieve too large"),
+        (["sieve", "--degree", "3", "--height", str(10**400)], "sieve too large"),
         # 2,600 quartics times 494 primes whose quartics get no table.
         (["sieve", "--degree", "4", "--height", "24", "--z", "3572"], "sieve work too large"),
         (["bounds-audit", "--degree", "9", "--h-min", "0", "--h-max", "362880"],
@@ -468,6 +471,45 @@ def test_fp_audit_size_check_changes_no_outcome(capsys, p):
             code = exc.code
         assert code == expected, n
         assert (capsys.readouterr().out != "") == (expected == 0)
+
+
+# Each subcommand with small values for its integer flags (`sieve` with
+# and without --z); the sweep sets one flag at a time to an edge value and
+# keeps the others.
+_SMALL_FLAGS = (
+    ("count", {"--degree": 3, "--height": 6}),
+    ("enumerate", {"--degree": 3, "--height": 6, "--limit": 4}),
+    ("irr-count", {"--degree": 3, "--height": 6}),
+    ("sieve", {"--degree": 3, "--height": 6}),
+    ("sieve", {"--degree": 3, "--height": 6, "--z": 8}),
+    ("fp-audit", {"--degree": 2, "--primes": 3}),
+    ("primes", {"--below": 30}),
+    ("chebyshev", {"--z-max": 30}),
+    ("bounds-audit", {"--degree": 3, "--h-min": 0, "--h-max": 6}),
+)
+_EDGE_VALUES = {"0": 0, "1": 1, "-1": -1, "2": 2, "10^306": 10**306, "10^400": 10**400,
+                "-10^400": -(10**400), "4299-digits": int("9" * 4299)}
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES.values(), ids=_EDGE_VALUES.keys())
+@pytest.mark.parametrize("command, flags, flag", [
+    pytest.param(command, flags, flag, id=" ".join([command, *flags, "set", flag]))
+    for command, flags in _SMALL_FLAGS for flag in flags
+])
+def test_every_integer_flag_ends_in_an_answer_or_one_json_error(capsys, command, flags, flag,
+                                                                value):
+    argv = [command, *(f"{k}={value if k == flag else v}" for k, v in flags.items())]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"kind", "message"}
 
 
 @pytest.mark.parametrize("command, flags", [

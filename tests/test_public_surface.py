@@ -21,6 +21,7 @@ ORACLE_NAMES = (
     "is_irreducible_rabin",
     "is_irreducible_trial_division",
     "multiply_monic",
+    "turan_bound_by_ordered_pairs",
 )
 
 # Deleted because nothing in the package or the CLI called them: a second

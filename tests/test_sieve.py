@@ -25,7 +25,12 @@ from admissible.sieve import (
     turan_upper_bound,
 )
 
-from oracles import brute_sieve_counts, chebyshev_scan, count_primes_crosscheck
+from oracles import (
+    brute_sieve_counts,
+    chebyshev_scan,
+    count_primes_crosscheck,
+    turan_bound_by_ordered_pairs,
+)
 
 
 def test_primes_below_anchors():
@@ -76,6 +81,23 @@ def test_turan_bound_invariant_under_prime_reordering():
         assert b.ambient_size == a.ambient_size == 21
         assert b.pair_counts == a.pair_counts
         assert turan_upper_bound(b) == turan_upper_bound(a)
+    for inst in instances:
+        assert turan_upper_bound(inst) == turan_bound_by_ordered_pairs(inst) == 68
+
+
+def test_turan_bound_over_mixed_densities_matches_the_ordered_pair_sum():
+    # Denominators 3, 7, 1 and 11 (a zero density among them): one common
+    # denominator of 231 for the integer sums.
+    by_prime = {(): 9, (2,): 3, (2, 5): 4, (3, 5, 7): 2, (2, 3, 5, 7): 3, (7,): 6}
+    densities = {2: Fraction(1, 3), 3: Fraction(2, 7), 5: Fraction(0), 7: Fraction(5, 11)}
+    primes = (7, 2, 5, 3)
+    histogram = {sum(1 << primes.index(p) for p in hits): c for hits, c in by_prime.items()}
+    inst = TuranInstance(z=8, primes=primes, densities=densities, histogram=histogram)
+    assert turan_upper_bound(inst) == turan_bound_by_ordered_pairs(inst)
+    # Every density zero but one: D = 7 and a = 2.
+    lone = TuranInstance(z=8, primes=primes, histogram=histogram,
+                         densities={**dict.fromkeys(primes, Fraction(0)), 3: Fraction(2, 7)})
+    assert turan_upper_bound(lone) == turan_bound_by_ordered_pairs(lone)
 
 
 def test_turan_empty_sieve():
@@ -83,6 +105,10 @@ def test_turan_empty_sieve():
     assert inst.ambient_size == 5 and inst.member_counts == {} and inst.pair_counts == {}
     with pytest.raises(ValueError, match="empty sieve"):
         turan_upper_bound(inst)
+    zeros = TuranInstance(z=4, primes=(2, 3), densities=dict.fromkeys((2, 3), Fraction(0)),
+                          histogram={0: 4, 0b11: 1})
+    with pytest.raises(ValueError, match="empty sieve"):
+        turan_upper_bound(zeros)
 
 
 def test_instance_validation():
@@ -109,8 +135,9 @@ def test_instance_counts_are_read_off_the_histogram():
     assert inst.ambient_size == 5
     assert inst.member_counts == {2: 2, 3: 2}
     assert inst.pair_counts == {(2, 2): 2, (2, 3): 1, (3, 3): 2}
-    assert inst.intersection_count(3, 2) == inst.intersection_count(2, 3) == 1
-    assert inst.intersection_count(3, 3) == 2
+    assert inst.pair_counts[(2, 3)] == 1
+    assert inst.pair_counts[(3, 3)] == 2
+    assert not hasattr(inst, "intersection_count")  # pair_counts is the one pair view
 
 
 @pytest.mark.parametrize("change, message", [
@@ -134,7 +161,7 @@ def test_build_instance_anchors():
     # Every admissible cubic has 1 as a root mod 2 and mod 3 (the full
     # coefficient sum is 3! = 6), so no reduction is irreducible there.
     assert inst.member_counts == {2: 0, 3: 0}
-    assert turan_upper_bound(inst) == Fraction(189, 2)
+    assert turan_upper_bound(inst) == Fraction(189, 2) == turan_bound_by_ordered_pairs(inst)
 
     assert build_admissible_instance(3, 1, 4).ambient_size == 0
     assert build_admissible_instance(4, 6, 4).ambient_size == 4
@@ -145,7 +172,14 @@ def test_build_instance_member_counts_at_larger_level():
     assert inst.primes == (2, 3, 5, 7)
     assert inst.member_counts[5] == 7
     assert inst.member_counts[7] == 7
-    assert inst.intersection_count(5, 7) == 4
+    assert inst.pair_counts[(5, 7)] == 4
+
+
+def test_turan_bound_at_the_instance_prime_limit_matches_the_ordered_pair_sum():
+    inst = build_admissible_instance(3, 6, 3572)
+    assert len(inst.primes) == sieve.INSTANCE_PRIME_LIMIT == 500
+    assert turan_upper_bound(inst) == turan_bound_by_ordered_pairs(inst)
+    assert turan_upper_bound(inst) == Fraction(8_871_807, 250_000)
 
 
 def test_exact_sifted_count_anchors():
@@ -198,6 +232,20 @@ def test_sieve_level_anchors():
     assert sieve_level(120) == 8
     with pytest.raises(ValueError):
         sieve_level(1)
+
+
+def test_sieve_level_is_an_integer_past_float_range():
+    # Up to about 10^305 the float formula holds; past it the level is the
+    # integer cube root of H * floor(ln H), beyond SIEVE_LIMIT.
+    last = 10**305
+    assert sieve_level(last) == round((last * math.log(last)) ** (1 / 3))
+    for height in (10**306, 10**309, 10**400, int("9" * 4299)):
+        cube = height * math.floor(math.log(height))
+        level = sieve_level(height)
+        assert level**3 <= cube < (level + 1) ** 3, height
+        assert level > sieve.SIEVE_LIMIT
+        with pytest.raises(FeasibilityError, match="sieve too large"):
+            primes_below(level)
 
 
 def test_pipeline_smallest_nontrivial():
@@ -644,7 +692,7 @@ def test_cost_model_picks_the_cheaper_route(monkeypatch):
     assert inst.member_counts == {2: 0, 3: 0, 5: 0, 7: 130_179}
     assert inst.pair_counts[(7, 7)] == 130_179
     assert all(c == 0 for key, c in inst.pair_counts.items() if key != (7, 7))
-    assert turan_upper_bound(inst) == Fraction(37_194_885, 16)
+    assert turan_upper_bound(inst) == turan_bound_by_ordered_pairs(inst) == Fraction(37_194_885, 16)
     # (4, 10, 8): 804 * 2 tests against 35^3 vectors.
     routes.clear()
     inst = build_admissible_instance(4, 10, 8)
