@@ -15,13 +15,14 @@ needed.  The decision runs in three stages:
    left; a polynomial of degree <= 3 needs none of them.
 3. A finite search over candidate monic factors g with deg g = m among
    the surviving degrees, the linear ones x + b first.  The constant
-   term of g must divide a_0 and coefficient i of g is confined to the
-   Mignotte factor bound B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), so the
-   search space is finite.  Within it only candidates with g(1) | f(1)
-   and g(-1) | f(-1) are divided out, and for m >= 2 the top coefficient
-   is solved from the first condition.  The box is built for the
-   surviving degrees only: if none survives, f is irreducible with no
-   norm, no divisor of a_0 and no division.
+   term of g must divide a_0, so x + b divides f exactly when b | a_0
+   and f(-b) = 0, which Horner's rule decides with no division.  For
+   m >= 2 coefficient i of g is confined to the Mignotte factor bound
+   B_i = C(m-1, i) * ||f||_2 + C(m-1, i-1), and only the candidates of
+   that box with g(1) | f(1) and g(-1) | f(-1) are divided out, the top
+   coefficient solved from the first.  The norm and the box are built
+   only when a degree >= 2 survives; when no degree survives, f is
+   irreducible with no divisor of a_0 listed and no division.
 
 The candidates of the degrees stage 2 leaves open, and only those, are
 counted against SEARCH_LIMIT before any is tried, and so are the
@@ -110,11 +111,6 @@ def _signed_divisors(a0: int, bound: int) -> list[int]:
     return [s for d in small + large[::-1] for s in (-d, d)]
 
 
-def _ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def _irreducible_mod(f: MonicIntPolynomial, p: int) -> int:
     # The factor-degree set of f mod p, a bitmask (bit m: a monic divisor of
     # degree m), not a verdict.  Degree is preserved by monic reduction.
@@ -155,24 +151,15 @@ def _open_degrees(f: MonicIntPolynomial) -> int:
     return degrees
 
 
-def _divides(d: int, value: int) -> bool:
-    # Whether d | value, in the sense needed here: value 0 constrains nothing.
-    return value == 0 or (d != 0 and value % d == 0)
-
-
-def _candidates(bounds: list[int], divisors: list[int], at_one: int,
-                at_minus_one: int) -> Iterator[list[int]]:
-    # Candidate factors [b_0, ..., b_{m-1}, 1] of degree m = len(bounds),
-    # in box order: b_0 over `divisors`, then b_1, ..., b_{m-1}
+def _candidates(bounds: list[int], divisors: list[int], full: list[int]) -> Iterator[list[int]]:
+    # Candidate factors [b_0, ..., b_{m-1}, 1] of f of degree m = len(bounds)
+    # >= 2, in box order: b_0 over `divisors`, then b_1, ..., b_{m-1}
     # lexicographically, each ascending within its Mignotte bound.  Only
     # those with g(1) | f(1) and g(-1) | f(-1) are yielded, a subsequence
-    # that keeps every factor.
+    # that keeps every factor; b_{m-1} is solved from the first.
     m = len(bounds)
-    if m == 1:  # x + b: g(1) = 1 + b, g(-1) = b - 1
-        yield from ([b, 1] for b in divisors
-                    if _divides(1 + b, at_one) and _divides(b - 1, at_minus_one))
-        return
     top = bounds[-1]
+    at_one, at_minus_one = sum(full), sum(full[::2]) - sum(full[1::2])
     # Every value g(1) may take, ascending; |g(1)| <= 1 + sum of the bounds.
     values = sorted(_signed_divisors(at_one, sum(bounds) + 1)) if at_one else None
     sign = (-1) ** (m - 1)  # of b_{m-1} in g(-1)
@@ -186,7 +173,8 @@ def _candidates(bounds: list[int], divisors: list[int], at_one: int,
             tops = [v - rest for v in window]
         alternating = sum(head[::2]) - sum(head[1::2]) - sign  # g(-1) - sign * b_{m-1}
         for b in tops:
-            if _divides(alternating + sign * b, at_minus_one):
+            d = alternating + sign * b  # g(-1); f(-1) = 0 constrains nothing
+            if not at_minus_one or (d != 0 and at_minus_one % d == 0):
                 yield [*head, b, 1]
 
 
@@ -199,40 +187,48 @@ def _check_candidates(candidates: int) -> None:
 
 def _bounded_factor_search(f: MonicIntPolynomial, degrees: int) -> FactorizationWitness:
     # The first divisor of f among the candidates of the degrees m whose bit
-    # is set in `degrees`, degree by degree; with none set, no box is built.
-    # Mignotte: |g_i| <= C(m-1, i)*||f||_2 + C(m-1, i-1) for any factor of
-    # degree m (f monic), so every degree shares the constant terms: the
-    # divisors of a_0 up to ||f||_2.  Listing them takes sqrt|a_0| trial
-    # divisions (||f||_2 >= |a_0| never cuts the loop), so that count is
-    # checked against SEARCH_LIMIT first.  Then the candidates are: first
-    # with the constant terms -1 and 1 alone, which divide every a_0, so a
-    # box too large is refused before the listing starts; then with every
-    # divisor, all before any is tried.
+    # is set in `degrees`, degree by degree.  Every degree shares the constant
+    # terms, all the divisors of a_0: their Mignotte bound ||f||_2 >= |a_0|
+    # cuts none.  Before any candidate is tried, SEARCH_LIMIT checks the
+    # sqrt|a_0| trial divisions that list them, then the candidates with
+    # constant term -1 or 1 alone, degree by degree, then all of them.  x + b
+    # divides f exactly when f(-b) = 0, so the norm and the Mignotte box
+    # |g_i| <= C(m-1, i)*||f||_2 + C(m-1, i-1) are built for m >= 2 only.
     if not degrees:
         return FactorizationWitness()
     full = list(f.all_coefficients())
     if (trials := math.isqrt(abs(full[0]))) > SEARCH_LIMIT:
         raise FeasibilityError(f"search space exceeded: {trials} trial divisions of a_0 "
                                f"exceed limit {SEARCH_LIMIT}")
-    norm = _ceil_sqrt(sum(c * c for c in full))
-    box = [(m, [binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)])
-           for m in range(1, degrees.bit_length()) if degrees >> m & 1]
-    tails = 0  # candidates per constant term, over the degrees counted so far
-    for _, bounds in box:
+    tails = degrees >> 1 & 1  # candidates per constant term, over the degrees counted so far
+    if tails:
+        _check_candidates(2)
+    box = []
+    if degrees >= 4:
+        norm = 1 + math.isqrt(sum(c * c for c in full) - 1)  # ceil(||f||_2)
+        box = [[binomial(m - 1, i) * norm + binomial(m - 1, i - 1) for i in range(m)]
+               for m in range(2, degrees.bit_length()) if degrees >> m & 1]
+    for bounds in box:
         tails += math.prod(2 * b + 1 for b in bounds[1:])
         _check_candidates(2 * tails)
-    divisors = _signed_divisors(full[0], norm)
+    divisors = _signed_divisors(full[0], abs(full[0]))
     _check_candidates(len(divisors) * tails)
-    at_one = sum(full)
-    at_minus_one = sum(full[::2]) - sum(full[1::2])
-    for m, bounds in box:
-        for g in _candidates(bounds, divisors, at_one, at_minus_one):
-            q, r = _divmod_by_monic(full, g)
-            if not any(r):
-                return FactorizationWitness((
-                    MonicIntPolynomial(m, tuple(g[:-1])),
-                    MonicIntPolynomial(f.degree - m, tuple(q[:-1])),
-                ))
+    first_root = []  # [[b, 1]] for the first divisor b with f(-b) = 0
+    if degrees & 2:
+        top_down = full[::-1]
+        for b in divisors:
+            value = 0  # f(-b) by Horner's rule
+            for c in top_down:
+                value = c - b * value
+            if not value:
+                first_root.append([b, 1])
+                break
+    for g in itertools.chain(first_root, *(_candidates(bounds, divisors, full) for bounds in box)):
+        q, r = _divmod_by_monic(full, g)
+        if not any(r):
+            m = len(g) - 1
+            return FactorizationWitness((MonicIntPolynomial(m, tuple(g[:-1])),
+                                         MonicIntPolynomial(f.degree - m, tuple(q[:-1]))))
     return FactorizationWitness()
 
 

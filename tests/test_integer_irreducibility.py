@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -115,6 +116,28 @@ def test_search_limit_is_inclusive(monkeypatch):
         is_irreducible_over_z(f)
 
 
+@pytest.mark.parametrize("coeffs, outcomes", [
+    # x^3 + x + 3 has only degree 1 open: one tail per constant term, then
+    # the four divisors of 3.
+    ((3, 1, 0), ["1 trial divisions of a_0", "2 candidates", "4 candidates", "4 candidates", None]),
+    # x^4 + 4x + 3 = (x + 1)(x^3 - x^2 + x + 3) has degrees 1 and 2 open:
+    # degree 1's tail is counted first, then degree 2's 15 (||f||_2 rounds
+    # up to 6, so |b_1| <= 7), so the -1, 1 candidates number 32.
+    ((3, 4, 0, 0), ["1 trial divisions of a_0", "2 candidates", "32 candidates",
+                    "32 candidates", "32 candidates"]),
+])
+def test_search_limit_checks_keep_their_order(monkeypatch, coeffs, outcomes):
+    f = MonicIntPolynomial(len(coeffs), coeffs)
+    for limit, outcome in enumerate(outcomes):
+        monkeypatch.setattr(integer_irreducibility, "SEARCH_LIMIT", limit)
+        if outcome is None:
+            assert is_irreducible_over_z(f).irreducible
+        else:
+            with pytest.raises(FeasibilityError,
+                               match=f"search space exceeded: {outcome} exceed limit {limit}$"):
+                is_irreducible_over_z(f)
+
+
 def test_search_limit_counts_only_the_degrees_left_open(monkeypatch):
     # x^7 + 10000x^6 + x + 1 is irreducible mod 2, so no degree is open
     # and no candidate counts, not even its two linear ones; its whole
@@ -217,6 +240,35 @@ def test_witness_type_validation():
         )
 
 
+def _times(*factors):
+    # The product of monic polynomials given by their ascending coefficient
+    # tuples, leading 1 left out.
+    polys = [MonicIntPolynomial(len(coeffs), tuple(coeffs)) for coeffs in factors]
+    return functools.reduce(multiply_monic, polys)
+
+
+def _linear_factor_grid():
+    # Polynomials rich in linear factors: (x + b)g for b = +-1..+-12 and
+    # signed cubic and quartic g, among them every f with f(1) = 0 or
+    # f(-1) = 0; a_0 in {720, -5040}, with many divisors to try; and
+    # repeated roots, such as (x + 2)^2 (x^2 + 1).  Those with a_0 = 0 are
+    # left out.
+    signs = range(-1, 2)
+    polys = [
+        *(_times((b,), g) for b in (*range(-12, 0), *range(1, 13))
+          for g in (*itertools.product(range(-2, 3), repeat=3),
+                    *itertools.product(signs, repeat=4))),
+        *(_times((a0, a1, a2)) for a0 in (720, -5040) for a1 in range(-3, 4)
+          for a2 in range(-3, 4)),
+        *(_times((d,), (a0 // d, -1, 1)) for a0 in (720, -5040)
+          for d in (-12, -7, -6, -5, -1, 1, 2, 3, 8, 10, 12) if a0 % d == 0),
+        *(_times((-1,), (1,), g) for g in itertools.product(signs, repeat=3)),
+        *(_times((b,), (b,), g) for b in (-4, -3, -2, -1, 1, 2, 3, 4)
+          for g in ((1, 0), (1, 1), (-2, 0), (3,), (-2, 0, 0), (b,))),
+    ]
+    return [f for f in polys if f.coeffs[0]]
+
+
 def _first_divisor(f):
     w = is_irreducible_over_z(f)
     return None if w.irreducible else w.factors[0].coeffs
@@ -235,6 +287,22 @@ def test_witnesses_are_the_first_divisor_of_the_whole_box():
     for f in polys:
         if f.coeffs[0]:
             assert _first_divisor(f) == first_box_divisor(list(f.all_coefficients())), f
+
+
+def test_roots_are_the_first_divisors_of_the_whole_box():
+    # The root test against the unpruned box, where linear factors abound.
+    # Each witness also multiplies back to f.
+    grid = _linear_factor_grid()
+    assert len(grid) == 3881
+    reducible = 0
+    for f in grid:
+        w = is_irreducible_over_z(f)
+        full = list(f.all_coefficients())
+        assert (None if w.irreducible else w.factors[0].coeffs) == first_box_divisor(full), f
+        if not w.irreducible:
+            reducible += 1
+            assert multiply_monic(*w.factors) == f
+    assert reducible == 3786
 
 
 def test_roots_at_one_and_minus_one():
@@ -275,13 +343,15 @@ def test_degree_sets_leave_13_searches_at_a_5_27(monkeypatch):
     assert sum(not degrees for degrees in masks) == 1494
 
 
-def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
-    # At (5, 27) the degree sets rule out x + b for most quintics, so the
-    # box search makes 5,493 long divisions, where trying every linear
-    # candidate made 23,862.  The mod-p lookups stay at 16,638.  The
-    # 1,494 quintics with no open degree list no divisors of a_0: the
-    # other boxes and the g(1) values of the 13 quadratic searches make
-    # 3,364 listings, where building every box made 4,858.
+def test_only_roots_and_quadratic_candidates_are_divided_at_a_5_27(monkeypatch):
+    # At (5, 27) x + b is tried by evaluating f(-b), and only x + 23, the
+    # one linear factor found, is divided out for its cofactor; the other
+    # 507 long divisions are quadratic candidates of the 13 searches with
+    # degree 2 open.  Dividing by each linear candidate with g(1) | f(1) and
+    # g(-1) | f(-1) made 5,493, and by every one 23,862.  The mod-p
+    # lookups stay at 16,638.  The 1,494 quintics with no open degree list
+    # no divisors of a_0: the other searches and the g(1) values of the 13
+    # quadratic ones make 3,364 listings, where building every box made 4,858.
     calls = {"_divmod_by_monic": 0, "_irreducible_mod": 0, "_signed_divisors": 0}
     for name in calls:
         original = getattr(integer_irreducibility, name)
@@ -292,7 +362,7 @@ def test_linear_candidates_are_divided_only_where_bit_1_is_open(monkeypatch):
 
         monkeypatch.setattr(integer_irreducibility, name, counted)
     assert count_admissible_irreducible(5, 27) == 4844
-    assert calls == {"_divmod_by_monic": 5493, "_irreducible_mod": 16638, "_signed_divisors": 3364}
+    assert calls == {"_divmod_by_monic": 508, "_irreducible_mod": 16638, "_signed_divisors": 3364}
 
 
 def test_linear_candidates_skip_the_signs_f_rules_out():
@@ -314,6 +384,7 @@ def test_verdicts_agree_with_sympy():
         *(MonicIntPolynomial(3, c) for c in itertools.product(range(-3, 4), repeat=3)),
         *(MonicIntPolynomial(4, c) for c in itertools.product(range(-2, 3), repeat=4)),
         *enumerate_admissible(5, 10),
+        *_linear_factor_grid(),
     ]
     for f in polys:
         want = sympy.Poly(f.all_coefficients()[::-1], x).is_irreducible
