@@ -21,14 +21,21 @@ the class's coefficient columns laid out in table order: each index
 digit of g*h is a g_i-weighted sum of columns, turned into the digit
 by one lookup row per (p, n) and digit.  Past the
 table limit, one polynomial's divisor degrees come from its
-distinct-degree factorization, the one direct algorithm here: x^p mod f
-by binary powering, then each later stage x^(p^d) mod f as one product
-with the Frobenius rows x^(ip) mod f, i < n, since h(x)^p = h(x^p) over
-F_p (Berlekamp's Q-matrix).  Each stage takes gcd(x^(p^d) - x, f) with
-f itself and counts the factors of degree d from the degrees of these
-gcds alone, so no factor is ever divided out.  f is monic, so every
-product is reduced by it without an inverse.  The exact count of monic
-irreducibles of each degree comes from the Gauss/Moebius formula.
+distinct-degree factorization, the one direct algorithm here.  Its
+pre-test is disc f = (-1)^(n(n-1)/2) Res(f, f') mod p, taken along
+Euclid's remainder sequence: 0 exactly when f is not squarefree, which
+then gets every degree.  Then x^p mod f by binary powering, and each
+later stage x^(p^d) mod f as one product with the Frobenius rows
+x^(ip) mod f, i < n, since h(x)^p = h(x^p) over F_p (Berlekamp's
+Q-matrix).  Each stage takes gcd(x^(p^d) - x, f) with f itself and
+counts the factors of degree d from the degrees of these gcds alone, so
+no factor is ever divided out.  At odd p the last stage is not run,
+save for cubics: by Stickelberger's theorem the quadratic character of
+disc f is the parity of the number of irreducible factors, and that
+parity tells one irreducible from two.  So quartics and quintics run
+stage 1 only.  f is monic, so every product is reduced by it without an
+inverse.  The exact count of monic irreducibles of each degree comes
+from the Gauss/Moebius formula.
 """
 
 from __future__ import annotations
@@ -105,26 +112,27 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
+def _rem(r: list[int], s: list[int], p: int) -> list[int]:
+    # r mod the nonzero s, reducing r in place: one inverse of s's leading
+    # coefficient, one % p per quotient coefficient, then one % p pass over
+    # the remainder.
+    neg_inv = -pow(s[-1], -1, p)
+    low = s[:-1]
+    n = len(low)
+    while len(r) > n:
+        q = r.pop() * neg_inv % p
+        if q:
+            for j, sj in enumerate(low, len(r) - n):
+                r[j] += q * sj
+    return _trim([c % p for c in r])
+
+
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    # Monic gcd by Euclid.  Each step reduces the dividend in place by the
-    # divisor s: one inverse of s's leading coefficient, one % p per
-    # quotient coefficient, then one % p pass over the remainder.  The
-    # last inverse makes the result monic.
+    # Monic gcd by Euclid's remainder sequence; one inverse makes it monic.
     r, s = list(a), list(b)
-    if not s:
-        r, s = s, r
-    neg_inv = 0
     while s:
-        neg_inv = -pow(s[-1], -1, p)
-        low = s[:-1]
-        n = len(low)
-        while len(r) > n:
-            q = r.pop() * neg_inv % p
-            if q:
-                for j, sj in enumerate(low, len(r) - n):
-                    r[j] += q * sj
-        r, s = s, _trim([c % p for c in r])
-    return [c * -neg_inv % p for c in r]
+        r, s = s, _rem(r, s, p)
+    return [c * pow(r[-1], -1, p) % p for c in r] if r else []
 
 
 def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
@@ -149,27 +157,58 @@ def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
 # --- irreducibility -------------------------------------------------------
 
 
+def _discriminant(fc: list[int], p: int) -> int:
+    # disc f mod p of the monic f of degree n >= 1: (-1)^(n(n-1)/2) Res(f, f').
+    # Res(f, f') is the product of f' over the roots of f, so it is 0 exactly
+    # when gcd(f, f') != 1, and f' dropping degree mod p does not change it.
+    # It is taken along Euclid's remainder sequence: with r = a mod b,
+    # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), and
+    # Res(a, c) = c^(deg a) for a constant c, Res(a, 0) = 0.
+    n = len(fc) - 1
+    r, s = list(fc), _trim([i * c % p for i, c in enumerate(fc)][1:])
+    res = -1 if n * (n - 1) // 2 % 2 else 1
+    while len(s) > 1:
+        m, k = len(r) - 1, len(s) - 1
+        r, s = s, _rem(r, s, p)
+        res = (-res if m * k % 2 else res) * pow(r[-1], m - len(s) + 1, p) % p
+    return res * pow(s[0], len(r) - 1, p) % p if s else 0
+
+
 def _distinct_degree_sets(fc: list[int], p: int) -> int:
     # Divisor degrees of f from its distinct-degree factorization.
     # gcd(x^(p^d) - x, f) is the product of the distinct irreducible factors
     # of f whose degree divides d (Knuth, TAOCP vol. 2, 4.6.2).  Its degree,
     # less the degrees found at the stages e | d, e < d, is d times the
     # number of factors of degree d, so no factor is divided out.  A
-    # repeated factor breaks that count, so a non-squarefree f gets every
-    # degree 0..n.  Stage 1 finds x^p mod f by binary powering.  Over F_p,
-    # h(x)^p = h(x^p), so every later stage is one product with the
-    # Frobenius rows x^(ip) mod f, i < n (Berlekamp's Q-matrix), built once
-    # at stage 2.
+    # repeated factor breaks that count, so a non-squarefree f, the one
+    # with disc f = 0, gets every degree 0..n.  Stage 1 finds x^p mod f by
+    # binary powering.  Over F_p, h(x)^p = h(x^p), so every later stage is
+    # one product with the Frobenius rows x^(ip) mod f, i < n (Berlekamp's
+    # Q-matrix), built once at stage 2.  At odd p the last stage is settled
+    # with no power of x: by Stickelberger's theorem the number r of
+    # irreducible factors of a squarefree f has (disc f / p) = (-1)^(n - r).
+    # When the degree left is 2d, or 2d + 1 with d >= 2, it is one
+    # irreducible or two, of degrees d and left - d, and the parity of r
+    # tells which.  At d = 1 and left = 3 it may also be three linear
+    # factors, so that stage runs.  At p = 2 every unit is a square, so the
+    # character says nothing and every stage runs.
     n = len(fc) - 1
-    derivative = _trim([i * c % p for i, c in enumerate(fc)][1:])
-    if _gcd(fc, derivative, p) != [1]:
+    disc = _discriminant(fc, p)
+    if not disc:
         return (2 << n) - 1
+    # The parity of the factors not yet counted: r mod 2 at first, at odd p.
+    unfound = (n + (pow(disc, (p - 1) // 2, p) != 1)) % 2
     degrees = 1
     h, d, rows = [0, 1], 0, []
     found = [0] * (n + 1)  # found[e]: the total degree of f's factors of degree e
     left = n  # the total degree of the factors of degree > d
     while 2 * (d + 1) <= left:
         d += 1
+        if p > 2 and (left == 2 * d or left == 2 * d + 1 and d > 1):
+            if not unfound:  # an even number of factors is left: two
+                degrees |= degrees << d
+                left -= d
+            break
         if d == 1:
             for bit in bin(p)[3:]:
                 h = _mulmod(h, h, fc, p)
@@ -195,6 +234,7 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
         found[d] = len(g) - 1 - sum(found[e] for e in range(1, d) if d % e == 0)
         for _ in range(found[d] // d):
             degrees |= degrees << d
+        unfound ^= found[d] // d % 2
         left -= found[d]
     if left:  # no factor of degree <= d is left, so one irreducible remains
         degrees |= degrees << left

@@ -26,6 +26,14 @@ package's arithmetic over F_p, the oracles share only `_gcd` and
 * `brute_sieve_counts` decides membership mod p with
   `is_irreducible_trial_division`, so it shares that oracle's `_mod`.
 
+`sylvester_discriminant_mod_p` is the reference for the package's
+discriminant mod p: the Sylvester determinant of (f, f') by Gaussian
+elimination, where the package follows Euclid's remainder sequence.
+`count_factors_trial_division` counts irreducible factors by dividing
+them out with `_divmod` from this file; with it the tests check
+Stickelberger's parity rule, which the distinct-degree factorization
+uses to settle its last stage.
+
 `divisor_degree_table_by_products` is the reference build of the mod-p
 class tables: it multiplies out every product g*h one at a time, as
 the package once did, where the package strikes out whole cofactor
@@ -345,6 +353,54 @@ def is_squarefree_trial_division(coeffs: list[int], p: int) -> bool:
             if not _mod(coeffs, _mul(g, g, p), p):
                 return False
     return True
+
+
+def count_factors_trial_division(coeffs: list[int], p: int) -> int:
+    """Number of monic irreducible factors of f over F_p, with multiplicity.
+
+    `coeffs` is the full ascending list over F_p, leading entry included.
+    Divides out the first monic divisor of least degree >= 1, which is
+    irreducible, until 1 is left; f itself when none has degree <= n/2.
+    """
+    f, count = list(coeffs), 0
+    while len(f) > 1:
+        n = len(f) - 1
+        divisors = (list(tail) + [1] for m in range(1, n // 2 + 1)
+                    for tail in itertools.product(range(p), repeat=m))
+        g = next((g for g in divisors if not _mod(f, g, p)), f)
+        f, count = _divmod(f, g, p)[0], count + 1
+    return count
+
+
+def sylvester_discriminant_mod_p(coeffs: list[int], p: int) -> int:
+    """disc f mod p of a monic f over F_p, from the Sylvester matrix of (f, f').
+
+    `coeffs` is the full ascending list over F_p, leading entry included.
+    f' keeps its formal degree n - 1 even where p | n drops it: for a
+    monic f the first column then holds a lone 1, so the determinant is
+    unchanged.  The (2n - 1)-square determinant is taken by Gaussian
+    elimination mod p, and disc f = (-1)^(n(n-1)/2) det.
+    """
+    n = len(coeffs) - 1
+    f = [c % p for c in coeffs[::-1]]  # descending, degree n
+    g = [i * coeffs[i] % p for i in range(n, 0, -1)]  # descending, degree n - 1
+    size = 2 * n - 1
+    rows = [[0] * i + f + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + g + [0] * (n - 1 - i) for i in range(n)]
+    det = 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], p - 2, p)
+        for r in range(col + 1, size):
+            if factor := rows[r][col] * inv % p:
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[col])]
+    return (-1) ** (n * (n - 1) // 2) * det % p
 
 
 def _prime_divisors(n: int) -> list[int]:

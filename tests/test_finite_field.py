@@ -34,12 +34,14 @@ from oracles import (
     _powmod,
     brute_divisor_degrees,
     brute_mobius,
+    count_factors_trial_division,
     count_irreducibles_exhaustive,
     count_irreducibles_in_class,
     divisor_degree_table_by_products,
     is_irreducible_rabin,
     is_irreducible_trial_division,
     is_squarefree_trial_division,
+    sylvester_discriminant_mod_p,
 )
 
 
@@ -407,6 +409,87 @@ def test_distinct_degree_sets_match_trial_division_at_degrees_6_and_7(p, n, exam
     check()
 
 
+@pytest.mark.parametrize("p, n", [(5, 4), (3, 6), (7, 3), (5, 5), (7, 4)])
+def test_discriminant_matches_the_sylvester_determinant(p, n):
+    # Every monic polynomial of the grid.  Where p | n, f' drops degree,
+    # and f' = 0 for the f whose a_i vanish at every i not divisible by p,
+    # such as x^5 + a_0 mod 5 and x^6 + a_3 x^3 + a_0 mod 3.
+    dropped = zero = 0
+    for tail in _index_order(p, n):
+        fc = list(tail) + [1]
+        derivative = _trim([i * c % p for i, c in enumerate(fc)][1:])
+        dropped += len(derivative) < n
+        zero += not derivative
+        assert finite_field._discriminant(fc, p) == sylvester_discriminant_mod_p(fc, p), (p, tail)
+    assert (dropped > 0) == (n % p == 0)
+    assert zero == (p ** (1 + (n - 1) // p) if n % p == 0 else 0)
+
+
+def test_discriminant_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for p, n in [(5, 4), (3, 6), (7, 3), (5, 5), (7, 4)]:
+        for tail in itertools.islice(_index_order(p, n), 0, None, 7):
+            fc = list(tail) + [1]
+            want = int(sympy.discriminant(sympy.Poly(fc[::-1], x), x)) % p
+            assert finite_field._discriminant(fc, p) == want, (p, tail)
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (3, 6), (5, 4), (7, 3), (11, 3)])
+def test_the_discriminant_character_is_the_parity_of_the_factor_count(p, n):
+    # Stickelberger: at odd p, a squarefree f with r irreducible factors
+    # has (disc f / p) = (-1)^(n - r); disc f = 0 iff f is not squarefree.
+    for tail in _index_order(p, n):
+        fc = list(tail) + [1]
+        disc = finite_field._discriminant(fc, p)
+        assert (disc != 0) == is_squarefree_trial_division(fc, p), (p, tail)
+        if disc:
+            r = count_factors_trial_division(fc, p)
+            assert pow(disc, (p - 1) // 2, p) == (1 if (n - r) % 2 == 0 else p - 1), (p, tail)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_cubics_run_their_first_stage(p):
+    # At d = 1 with 3 left, three linear factors and one cubic have the
+    # same parity, so the parity of r cannot settle that stage.
+    split = 0
+    for tail in _index_order(p, 3):
+        fc = list(tail) + [1]
+        if is_squarefree_trial_division(fc, p):
+            split += count_factors_trial_division(fc, p) == 3
+            assert _distinct_degree_sets(fc, p) == brute_divisor_degrees(fc, p), (p, tail)
+    assert split == p * (p - 1) * (p - 2) // 6
+
+
+@given(st.lists(st.integers(0, 1), min_size=17, max_size=17))
+@settings(max_examples=60, deadline=None)
+def test_p_2_runs_every_stage(tail):
+    # Every unit of F_2 is a square, so the discriminant says nothing about
+    # the factor count there.  (2, 6) and (2, 8) are checked in full above.
+    fc = tail + [1]
+    got = _distinct_degree_sets(fc, 2)
+    if is_squarefree_trial_division(fc, 2):
+        assert got == brute_divisor_degrees(fc, 2), tail
+    else:
+        assert got == (2 << 17) - 1, tail
+
+
+def test_sextics_run_stage_two_only_without_a_root(monkeypatch):
+    # Stage 3 of a sextic is always settled by the parity of r, and so is
+    # stage 2 once a root is found: one gcd with a root, two without, and
+    # none for a non-squarefree f.
+    gcds = []
+    monkeypatch.setattr(finite_field, "_gcd", lambda *args: gcds.append(1) or _gcd(*args))
+    p = 7
+    for tail in itertools.islice(_index_order(p, 6), 0, None, 211):
+        fc = list(tail) + [1]
+        gcds.clear()
+        _distinct_degree_sets(fc, p)
+        has_root = any(sum(c * a**i for i, c in enumerate(fc)) % p == 0 for a in range(p))
+        want = (1 if has_root else 2) if is_squarefree_trial_division(fc, p) else 0
+        assert len(gcds) == want, tail
+
+
 def test_powering_is_logarithmic_in_p():
     # x^p mod f by squaring: the largest prime below MODULUS_LIMIT answers at
     # once, where p - 1 multiplications by x would never end.
@@ -442,6 +525,28 @@ def test_the_kernel_answers_the_same_calls():
         calls.clear()
         assert count_admissible_irreducible(4, 24) == 2041
         assert len(calls) == 350 and min(calls) == 17
+
+
+def test_quartic_and_quintic_censuses_run_the_first_stage_only(monkeypatch):
+    # Every quartic and quintic stage after the first is settled by the
+    # parity of its factor count: one gcd per squarefree DDF, and products
+    # only for x^p, with no Frobenius rows.  Running the last stage again
+    # (3 gcds per DDF) or the old squarefree gcd would move these counts.
+    calls = {"_gcd": 0, "_mulmod": 0}
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    for name, kernel in (("_gcd", _gcd), ("_mulmod", _mulmod)):
+        monkeypatch.setattr(finite_field, name, counted(name, kernel))
+    assert count_admissible_irreducible(5, 27) == 4844
+    assert calls == {"_gcd": 2189, "_mulmod": 7166}
+    calls.update(_gcd=0, _mulmod=0)
+    assert count_admissible_irreducible(4, 24) == 2041
+    assert calls == {"_gcd": 297, "_mulmod": 1188}
 
 
 def test_a_repeated_factor_past_the_table_limit_rules_nothing_out():
