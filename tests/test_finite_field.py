@@ -465,7 +465,8 @@ def test_cubics_run_their_first_stage(p):
 @settings(max_examples=60, deadline=None)
 def test_p_2_runs_every_stage(tail):
     # Every unit of F_2 is a square, so the discriminant says nothing about
-    # the factor count there.  (2, 6) and (2, 8) are checked in full above.
+    # the factor count there.  (2, 6) and (2, 8) are checked in full by
+    # test_distinct_degree_sets_match_trial_division.
     fc = tail + [1]
     got = _distinct_degree_sets(fc, 2)
     if is_squarefree_trial_division(fc, 2):
@@ -530,8 +531,8 @@ def test_the_kernel_answers_the_same_calls():
 def test_quartic_and_quintic_censuses_run_the_first_stage_only(monkeypatch):
     # Every quartic and quintic stage after the first is settled by the
     # parity of its factor count: one gcd per squarefree DDF, and products
-    # only for x^p, with no Frobenius rows.  Running the last stage again
-    # (3 gcds per DDF) or the old squarefree gcd would move these counts.
+    # only for x^p, with no Frobenius rows.  Running the last stage again,
+    # or a gcd pre-test, would move these counts.
     calls = {"_gcd": 0, "_mulmod": 0}
 
     def counted(name, kernel):
