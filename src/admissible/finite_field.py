@@ -27,15 +27,15 @@ Euclid's remainder sequence: 0 exactly when f is not squarefree, which
 then gets every degree.  Then x^p mod f by binary powering, and each
 later stage x^(p^d) mod f as one product with the Frobenius rows
 x^(ip) mod f, i < n, since h(x)^p = h(x^p) over F_p (Berlekamp's
-Q-matrix).  Each stage takes gcd(x^(p^d) - x, f) with f itself and
-counts the factors of degree d from the degrees of these gcds alone, so
-no factor is ever divided out.  At odd p the last stage is not run,
-save for cubics: by Stickelberger's theorem the quadratic character of
-disc f is the parity of the number of irreducible factors, and that
-parity tells one irreducible from two.  So quartics and quintics run
-stage 1 only.  f is monic, so every product is reduced by it without an
-inverse.  The exact count of monic irreducibles of each degree comes
-from the Gauss/Moebius formula.
+Q-matrix).  Each stage reads only the degree of gcd(x^(p^d) - x, f)
+and counts the factors of degree d from these degrees alone, so no
+factor is ever divided out.  At odd p the last stage is not run, save
+for cubics: by Stickelberger's theorem the quadratic character of disc f
+is the parity of the number of irreducible factors, and that parity
+tells one irreducible from two.  So quartics and quintics run stage 1
+only.  Every reduction goes through `_rem`, which takes no inverse for
+a monic divisor such as f.  The exact count of monic irreducibles of
+each degree comes from the Gauss/Moebius formula.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _rem(r: list[int], s: list[int], p: int) -> list[int]:
-    # r mod the nonzero s, reducing r in place: one inverse of s's leading
-    # coefficient, one % p per quotient coefficient, then one % p pass over
-    # the remainder.
-    neg_inv = -pow(s[-1], -1, p)
+    # r mod the nonzero s, reducing r in place; the one remainder over F_p.
+    # One inverse of s's leading coefficient, none when s is monic, one
+    # % p per quotient coefficient, then one % p pass over the remainder.
+    neg_inv = -1 if s[-1] == 1 else -pow(s[-1], -1, p)
     low = s[:-1]
     n = len(low)
     while len(r) > n:
@@ -127,31 +127,23 @@ def _rem(r: list[int], s: list[int], p: int) -> list[int]:
     return _trim([c % p for c in r])
 
 
-def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    # Monic gcd by Euclid's remainder sequence; one inverse makes it monic.
+def _gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    # deg gcd(a, b) for a and b not both zero, by Euclid's remainder sequence.
     r, s = list(a), list(b)
     while s:
         r, s = s, _rem(r, s, p)
-    return [c * pow(r[-1], -1, p) % p for c in r] if r else []
+    return len(r) - 1
 
 
 def _mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     # a * b mod the monic m, for a and b reduced mod m: a schoolbook
-    # product, then a top-down reduction that cancels each leading
-    # coefficient with one multiple of m, so it needs no inverse.
+    # product, then its remainder by m, which takes no inverse.
     c = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b, i):
                 c[j] += ai * bj
-    low = m[:-1]
-    n = len(low)
-    while len(c) > n:
-        q = c.pop() % p
-        if q:
-            for j, mj in enumerate(low, len(c) - n):
-                c[j] -= q * mj
-    return _trim([x % p for x in c])
+    return _rem(c, m, p)
 
 
 # --- irreducibility -------------------------------------------------------
@@ -191,7 +183,8 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
     # irreducible or two, of degrees d and left - d, and the parity of r
     # tells which.  At d = 1 and left = 3 it may also be three linear
     # factors, so that stage runs.  At p = 2 every unit is a square, so the
-    # character says nothing and every stage runs.
+    # character says nothing and every stage runs.  Each stage reads only
+    # its gcd's degree; `_rem` reduces every product, power and remainder.
     n = len(fc) - 1
     disc = _discriminant(fc, p)
     if not disc:
@@ -212,11 +205,8 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
         if d == 1:
             for bit in bin(p)[3:]:
                 h = _mulmod(h, h, fc, p)
-                if bit == "1":  # times x: a shift, then one multiple of f off x^n
-                    h = [0, *h]
-                    if len(h) > n:
-                        top = h.pop()
-                        h = _trim([(c - top * fi) % p for c, fi in zip(h, fc)])
+                if bit == "1":  # times x: a shift, then its remainder by f
+                    h = _rem([0, *h], fc, p)
         else:
             if not rows:
                 rows = [[1], h]
@@ -230,8 +220,8 @@ def _distinct_degree_sets(fc: list[int], p: int) -> int:
             h = _trim([c % p for c in acc])
         h_minus_x = h + [0] * (2 - len(h))
         h_minus_x[1] = (h_minus_x[1] - 1) % p
-        g = _gcd(_trim(h_minus_x), fc, p)
-        found[d] = len(g) - 1 - sum(found[e] for e in range(1, d) if d % e == 0)
+        found[d] = _gcd_degree(_trim(h_minus_x), fc, p) - sum(
+            found[e] for e in range(1, d) if d % e == 0)
         for _ in range(found[d] // d):
             degrees |= degrees << d
         unfound ^= found[d] // d % 2

@@ -7,10 +7,11 @@ unpruned factor-pair search with its own division routine (which also
 yields the first divisor in the package's box order).  None of that
 shares code with the package paths it checks.  The list arithmetic
 over F_p that the package does not call lives here too: `_sub`, `_mul`,
-`_divmod` (long division by any nonzero divisor), `_mod` (its remainder)
-and `_powmod` (square and multiply over `_mul` and `_mod`).  Of the
-package's arithmetic over F_p, the oracles share only `_gcd` and
-`_trim`.  Six oracles do call package internals:
+`_divmod` (long division by any nonzero divisor), `_mod` (its remainder),
+`_powmod` (square and multiply over `_mul` and `_mod`) and `_gcd` (the
+monic gcd, by Euclid over `_mod`).  Of the package's arithmetic over
+F_p, the oracles share only `_trim`.  Six oracles do call package
+internals:
 
 * `is_irreducible_trial_division`, `brute_divisor_degrees` and
   `is_squarefree_trial_division` divide with `_mod` from this file, so
@@ -18,9 +19,9 @@ package's arithmetic over F_p, the oracles share only `_gcd` and
   the tables and the distinct-degree factorization (the last also
   squares with `_mul`);
 * `is_irreducible_rabin` is Rabin's criterion, a second direct algorithm
-  beside the package's distinct-degree factorization, built on `_powmod`
-  and `_sub` from this file and the package's `_gcd`: it shares the
-  gcd, not the factorization's products;
+  beside the package's distinct-degree factorization, built on
+  `_powmod`, `_sub` and `_gcd` from this file: it shares no division
+  code with the factorization it checks;
 * `count_irreducibles_exhaustive` runs `is_irreducible_rabin` on every
   polynomial, so it checks the Gauss/Moebius count;
 * `brute_sieve_counts` decides membership mod p with
@@ -60,7 +61,7 @@ from fractions import Fraction
 
 from admissible import __version__
 from admissible.errors import FeasibilityError
-from admissible.finite_field import _gcd, _trim, is_prime
+from admissible.finite_field import _trim, is_prime
 from admissible.integer_irreducibility import admissible_witnesses
 from admissible.polynomials import MonicIntPolynomial
 
@@ -106,6 +107,13 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 def _mod(a: list[int], b: list[int], p: int) -> list[int]:
     return _divmod(a, b, p)[1]
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    # Monic gcd by Euclid's remainder sequence over `_mod`.
+    while b:
+        a, b = b, _mod(a, b, p)
+    return [c * pow(a[-1], p - 2, p) % p for c in a] if a else []
 
 
 def _powmod(base: list[int], exp: int, modulus: list[int], p: int) -> list[int]:

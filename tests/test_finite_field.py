@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -13,9 +14,10 @@ from admissible.finite_field import (
     MODULUS_LIMIT,
     TABLE_LIMIT,
     _distinct_degree_sets,
-    _gcd,
+    _gcd_degree,
     _is_irreducible_raw,
     _mulmod,
+    _rem,
     _trim,
     audit_irreducible_counts,
     count_irreducibles_exact,
@@ -112,7 +114,7 @@ def test_tester_agrees_with_rabin_on_integer_coefficients(p, coeffs):
 
 
 def test_arithmetic_anchors():
-    assert _gcd([1, 0, 1], [1, 1], 2) == [1, 1]  # x^2+1 = (x+1)^2
+    assert _gcd_degree([1, 0, 1], [1, 1], 2) == 1  # x^2+1 = (x+1)^2
     assert _mod(_mul([0, 1], [0, 1], 3), [1, 0, 1], 3) == [2]  # x^2 = -1
     assert _powmod([0, 1], 4, [1, 1, 1], 2) == [0, 1]  # x^4 = x
 
@@ -159,11 +161,32 @@ def test_mulmod_matches_product_then_remainder(p, m):
                     p, modulus, a, b)
 
 
-def test_gcd_is_monic_and_takes_the_zero_polynomial():
-    assert _gcd([2, 4], [], 5) == [3, 1]  # 4x + 2 = 4(x + 3)
-    assert _gcd([], [0, 3], 5) == [0, 1]
-    assert _gcd([], [], 5) == []
-    assert _gcd([1, 0, 1], [2, 2], 3) == [1]  # x^2 + 1 has no root mod 3
+def test_gcd_degree_takes_one_zero_polynomial():
+    assert _gcd_degree([2, 4], [], 5) == 1  # 4x + 2 = 4(x + 3)
+    assert _gcd_degree([], [0, 3], 5) == 1
+    assert _gcd_degree([1, 0, 1], [2, 2], 3) == 0  # x^2 + 1 has no root mod 3
+
+
+def test_rem_matches_long_division():
+    # The one remainder over F_p against the oracle's long division, with
+    # monic and non-monic divisors (constants included), so both ways of
+    # taking the leading coefficient's negated inverse are covered.
+    for p in (2, 3, 5):
+        divisors = [_trim(list(t)) for t in itertools.product(range(p), repeat=3)]
+        for s in filter(None, divisors):
+            for r in itertools.product(range(p), repeat=4):
+                r = _trim(list(r))
+                assert _rem(list(r), s, p) == _mod(r, s, p), (p, r, s)
+    p = 999999999989
+    rng = random.Random(31)
+    monic = 0
+    for _ in range(2000):
+        r = _trim([rng.randrange(p) for _ in range(rng.randint(0, 9))])
+        s = [rng.randrange(p) for _ in range(rng.randint(0, 5))]
+        s.append(1 if rng.random() < 0.5 else rng.randrange(1, p))
+        monic += s[-1] == 1
+        assert _rem(list(r), s, p) == _mod(r, s, p), (r, s)
+    assert 900 < monic < 1100
 
 
 def test_irreducibility_anchors():
@@ -480,7 +503,8 @@ def test_sextics_run_stage_two_only_without_a_root(monkeypatch):
     # stage 2 once a root is found: one gcd with a root, two without, and
     # none for a non-squarefree f.
     gcds = []
-    monkeypatch.setattr(finite_field, "_gcd", lambda *args: gcds.append(1) or _gcd(*args))
+    monkeypatch.setattr(finite_field, "_gcd_degree",
+                        lambda *args: gcds.append(1) or _gcd_degree(*args))
     p = 7
     for tail in itertools.islice(_index_order(p, 6), 0, None, 211):
         fc = list(tail) + [1]
@@ -533,7 +557,7 @@ def test_quartic_and_quintic_censuses_run_the_first_stage_only(monkeypatch):
     # parity of its factor count: one gcd per squarefree DDF, and products
     # only for x^p, with no Frobenius rows.  Running the last stage again,
     # or a gcd pre-test, would move these counts.
-    calls = {"_gcd": 0, "_mulmod": 0}
+    calls = {"_gcd_degree": 0, "_mulmod": 0}
 
     def counted(name, kernel):
         def call(*args):
@@ -541,13 +565,13 @@ def test_quartic_and_quintic_censuses_run_the_first_stage_only(monkeypatch):
             return kernel(*args)
         return call
 
-    for name, kernel in (("_gcd", _gcd), ("_mulmod", _mulmod)):
+    for name, kernel in (("_gcd_degree", _gcd_degree), ("_mulmod", _mulmod)):
         monkeypatch.setattr(finite_field, name, counted(name, kernel))
     assert count_admissible_irreducible(5, 27) == 4844
-    assert calls == {"_gcd": 2189, "_mulmod": 7166}
-    calls.update(_gcd=0, _mulmod=0)
+    assert calls == {"_gcd_degree": 2189, "_mulmod": 7166}
+    calls.update(_gcd_degree=0, _mulmod=0)
     assert count_admissible_irreducible(4, 24) == 2041
-    assert calls == {"_gcd": 297, "_mulmod": 1188}
+    assert calls == {"_gcd_degree": 297, "_mulmod": 1188}
 
 
 def test_a_repeated_factor_past_the_table_limit_rules_nothing_out():

@@ -48,7 +48,8 @@ ORACLE_NAMES = (
 # and a wrapper of count_bounded_compositions' integers and a second binomial;
 # and the Turan instance's copies of its histogram and their prime checks;
 # and the class member listing that fed one product at a time to the
-# table builds, now passes over whole coefficient columns.
+# table builds, now passes over whole coefficient columns; and the monic
+# gcd, now _gcd_degree, since the factorization reads only its degree.
 DELETED_NAMES = (
     "CompositionQuery",
     "DEFAULT_ENUM_LIMIT",
@@ -62,6 +63,7 @@ DELETED_NAMES = (
     "_divisor_degrees",
     "_divmod",
     "_first_factor",
+    "_gcd",
     "_linear_signs",
     "_membership_histogram",
     "_mignotte_box",
