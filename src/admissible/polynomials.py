@@ -68,24 +68,25 @@ def poly_text(coeffs: Sequence[int]) -> str:
     return out
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MonicIntPolynomial:
     """x^degree + coeffs[degree-1]*x^(degree-1) + ... + coeffs[0] over Z.
 
     `coeffs` lists (a_0, ..., a_{degree-1}); the leading coefficient is
-    implicitly 1 and never stored.
+    implicitly 1 and never stored.  `__init__` is written out so that it
+    validates both fields in the same frame that sets them.
     """
 
     degree: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if len(self.coeffs) != self.degree:
-            raise ValueError(
-                f"expected {self.degree} coefficients, got {len(self.coeffs)}"
-            )
+    def __init__(self, degree: int, coeffs: tuple[int, ...]):
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        if len(coeffs) != degree:
+            raise ValueError(f"expected {degree} coefficients, got {len(coeffs)}")
+        self.degree = degree
+        self.coeffs = coeffs
 
     def all_coefficients(self) -> tuple[int, ...]:
         """(a_0, ..., a_{degree-1}, 1), the full ascending coefficient vector."""
@@ -120,7 +121,10 @@ def target_sum(degree: int) -> int:
 
 def count_admissible_exact(degree: int, height: int) -> int:
     """Exact number of admissible monic polynomials with 0 <= a_i <= height."""
-    return count_bounded_compositions(degree, target_sum(degree), height)
+    target = target_sum(degree)
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
+    return count_bounded_compositions(degree, target, height)
 
 
 def _bounded_vectors(parts: int, target: int, cap: int) -> Iterator[tuple[int, ...]]:

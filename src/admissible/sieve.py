@@ -234,11 +234,14 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
     ValueError.  With no primes below z nothing is sifted and the
     ambient size comes back unchanged.  A polynomial is tested at no
     further prime once one reduction is irreducible, and at degree >= 2
-    not at a prime dividing f(1), where x - 1 makes it reducible.
+    not at a prime dividing f(1), where x - 1 makes it reducible.  The
+    live primes are chosen once per run of equal f(1), so an admissible
+    ambient, where f(1) = n! throughout, chooses them once.
     """
     primes = primes_below(z)
     sifted = 0
     degree = None
+    last_at_one = None
     for f in ambient:
         if f.degree != degree:
             if degree is not None:
@@ -248,8 +251,11 @@ def exact_sifted_count(ambient: Iterable[MonicIntPolynomial], z: int) -> int:
             lookups = [(p, factor_degree_sets(p, degree)) for p in primes]
         coeffs = f.coeffs
         at_one = sum(coeffs) + 1 if degree > 1 else 1  # 1: no prime divides it
-        for p, degrees in lookups:
-            if at_one % p and degrees(coeffs) == irreducible:
+        if at_one != last_at_one:
+            last_at_one = at_one
+            tests = [degrees for p, degrees in lookups if at_one % p]
+        for degrees in tests:
+            if degrees(coeffs) == irreducible:
                 break
         else:
             sifted += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -93,6 +94,17 @@ def test_count_anchors():
     assert count_admissible_exact(4, 5) == 0
     # 1000! - 1 far exceeds 1000 * 5: answered up front, not by a long sum.
     assert count_admissible_exact(1000, 5) == 0
+
+
+def test_count_names_a_negative_height_after_the_degree():
+    with pytest.raises(ValueError, match=r"^height must be >= 0, got -1$"):
+        count_admissible_exact(3, -1)
+    with pytest.raises(ValueError, match=r"^height must be >= 0, got -1$"):
+        enumerate_admissible(3, -1)
+    with pytest.raises(ValueError, match=r"^degree must be >= 1, got 0$"):
+        count_admissible_exact(0, -1)
+    with pytest.raises(FeasibilityError, match="degree too large"):
+        count_admissible_exact(polynomials.DEGREE_LIMIT + 1, -1)
 
 
 def test_count_nondecreasing_and_saturates():
@@ -227,10 +239,28 @@ def test_audit_height_limit(monkeypatch):
 
 
 def test_polynomial_type_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^degree must be >= 1, got 0$"):
         MonicIntPolynomial(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected 3 coefficients, got 2$"):
         MonicIntPolynomial(3, (1, 2))
+    with pytest.raises(ValueError, match=r"^degree must be >= 1, got 0$"):
+        MonicIntPolynomial(0, (1,))  # the degree is checked first
+    with pytest.raises(ValueError, match=r"^expected 2 coefficients, got 3$"):
+        dataclasses.replace(MonicIntPolynomial(2, (1, 0)), coeffs=(1, 0, 0))
+
+
+def test_polynomial_dataclass_surface():
+    f = MonicIntPolynomial(degree=3, coeffs=(1, 2, 2))
+    assert f == MonicIntPolynomial(3, (1, 2, 2))
+    assert f != MonicIntPolynomial(3, (2, 1, 2))
+    assert [field.name for field in dataclasses.fields(f)] == ["degree", "coeffs"]
+    assert repr(f) == "MonicIntPolynomial(degree=3, coeffs=(1, 2, 2))"
+    g = dataclasses.replace(f, coeffs=(2, 2, 1))
+    assert (g.degree, g.coeffs) == (3, (2, 2, 1))
+    with pytest.raises(TypeError):
+        hash(f)
+    assert MonicIntPolynomial.__slots__ == ("degree", "coeffs")
+    assert not hasattr(f, "__dict__")
 
 
 def test_text_rendering():

@@ -26,11 +26,21 @@ from admissible.sieve import (
 )
 
 from oracles import (
+    brute_admissible_vectors,
     brute_sieve_counts,
     chebyshev_scan,
     count_primes_crosscheck,
+    is_irreducible_trial_division,
     turan_bound_by_ordered_pairs,
 )
+
+
+def _trial_primes(z):
+    return [p for p in range(2, z) if all(p % d for d in range(2, p))]
+
+
+def _irreducible_mod(coeffs, p):
+    return is_irreducible_trial_division([c % p for c in (*coeffs, 1)], p)
 
 
 def test_primes_below_anchors():
@@ -213,8 +223,38 @@ def test_exact_sifted_count_stops_at_the_first_irreducible_reduction(monkeypatch
     n, h, z = 4, 12, 14  # primes 2, ..., 13; A_2 and A_3 are empty for quartics
     sifted = exact_sifted_count(enumerate_admissible(n, h), z)
     assert sifted == brute_sieve_counts(n, h, z)[2]
-    assert calls < count_admissible_exact(n, h) * len(primes_below(z))
+    # The oracle walk: per polynomial, the primes not dividing f(1), in
+    # order, up to and including the first with an irreducible reduction.
+    expected = 0
+    for vec in brute_admissible_vectors(n, h):
+        for p in _trial_primes(z):
+            if (sum(vec) + 1) % p:
+                expected += 1
+                if _irreducible_mod(vec, p):
+                    break
+    assert calls == expected == 3_907
     assert at_root_one == []
+
+
+def _sifted_by_trial_division(vectors, z):
+    # Sifted: reducible mod every prime below z, by the trial-division
+    # oracle alone, with no rule on f(1).
+    primes = _trial_primes(z)
+    return sum(not any(_irreducible_mod(vec, p) for p in primes) for vec in vectors)
+
+
+def test_exact_sifted_count_follows_a_changing_f_of_1():
+    # Every admissible ambient has one f(1); these do not, so the live
+    # primes must be rechosen whenever f(1) changes, f(1) = 0 and
+    # negative values included.
+    quartics = list(itertools.product(range(-2, 3), repeat=4))
+    by_value = sorted(quartics, key=lambda vec: sum(vec) + 1)
+    quintics = list(itertools.product(range(-1, 2), repeat=5))
+    for n, z, order in [(4, 12, quartics), (4, 12, by_value), (4, 12, by_value[::-1]),
+                        (5, 14, quintics)]:  # 11 and 13 are untabled at degree 5
+        expected = _sifted_by_trial_division(order, z)
+        assert exact_sifted_count((MonicIntPolynomial(n, vec) for vec in order), z) == expected
+    assert len({sum(vec) + 1 for vec in quartics}) == 17  # f(1) from -7 to 9
 
 
 def test_sifted_count_nonincreasing_in_z():
